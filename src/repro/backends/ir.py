@@ -1,31 +1,25 @@
 """Backend-neutral batch-axis kernel IR.
 
 The fused flat-program codegen (:mod:`repro.core.codegen`) lowers task
-graphs by *printing Python source*.  That welds the lowering to one
-backend.  This module extracts the lowering decisions themselves — what
-to load, which batch op to apply at which context width, where to store
-with which mask — into a small explicit IR that any backend can consume:
-
-* the **numpy** backend keeps emitting fused source (the IR's per-node
-  ``origin`` expressions feed the existing three-tier emitter), and
-* the **tensor** backend (and the gated numba/cupy scaffolds) interpret
-  the flattened op lists directly over the same pooled batch layout.
+graphs by *printing Python source*.  This module extracts the lowering
+decisions themselves — what to load, which batch op to apply at which
+context width, where to store with which mask — into a small explicit
+IR.  Nothing executes it yet: it is the starting point for making one
+lowering the only emitter (docs/fusion.md, "Kernel IR").
 
 Semantics contract: every op mirrors the *uint64/widevec tier* of
 :class:`repro.core.codegen.ExprCodegen` exactly — an IR value is an
 ``(N,)`` uint64 lane vector when its context width fits one limb, and an
 ``(L, N)`` little-endian limb matrix otherwise.  The fused emitter's
 packed/native tiers are proven bit-identical to that tier by the
-translation validator, so any backend that implements this contract is
-bit-identical to the numpy lowering at every store.
+translation validator.
 
 Execution units match the fused bundle: one unit for the whole
 combinational phase (in ``comb_topo`` order) and one per sequential
 clock domain, each a straight-line list of per-node programs.  Stores
 carry resolved pool/offset placements (shadow slots for SEQ targets,
 cond/addr/data scratch for guarded memory writes) for the shared
-``pack_bits=True`` :class:`~repro.core.memory.MemoryLayout`, so commits,
-checkpoints and stimulus pre-packing work unchanged under every backend.
+``pack_bits=True`` :class:`~repro.core.memory.MemoryLayout`.
 """
 
 from __future__ import annotations
@@ -50,13 +44,6 @@ __all__ = [
     "build_kernel_ir",
     "validate_ir",
 ]
-
-#: Opcodes whose result is always one limb regardless of operand limbs.
-_SCALAR_RESULT = frozenset({
-    "not_bool", "reduce", "logic", "compare", "bit_index",
-    "to_bool_wide", "to_amount_wide", "to_narrow_wide", "amount_bias",
-})
-
 
 @dataclass(frozen=True)
 class IrOp:
@@ -107,8 +94,8 @@ class IrStore:
 class NodeIr:
     """The flattened program of one RTL node (ops then stores).
 
-    ``origin`` keeps the source :class:`~repro.rtlir.graph.RtlNode` so
-    tree-fusing backends (the numpy source emitter) can re-lower the
+    ``origin`` keeps the source :class:`~repro.rtlir.graph.RtlNode` so a
+    tree-fusing emitter (like the numpy source emitter) can re-lower the
     expression instead of interpreting the flattened ops.
     """
 
@@ -149,7 +136,7 @@ class KernelIR:
         return [u for u in self.units if u.kind == "seq"]
 
     def render(self) -> str:
-        """A textual listing of the IR (the backend bundle's 'source')."""
+        """A textual listing of the IR."""
         lines = [f"; kernel IR for {self.top} (backend-neutral)"]
         for unit in self.units:
             dom = f" {unit.domain[1]} {unit.domain[0]}" if unit.domain else ""
@@ -456,10 +443,9 @@ def build_kernel_ir(
     """Lower ``taskgraph`` to the backend-neutral IR.
 
     Uses (or builds) the same ``pack_bits=True`` layout as the fused
-    numpy lowering, so bundles from different backends are layout- and
-    checkpoint-compatible.  Unit order matches
-    :meth:`FusedProgramCodegen.generate_source`: comb first, then the
-    sequential domains in task order.
+    numpy lowering, so the two agree on every store placement.  Unit
+    order matches :meth:`FusedProgramCodegen.generate_source`: comb
+    first, then the sequential domains in task order.
     """
     graph = taskgraph.graph
     layout = layout or MemoryLayout.from_graph(graph, pack_bits=True)
@@ -497,7 +483,7 @@ def build_kernel_ir(
 def validate_ir(ir: KernelIR) -> List[str]:
     """Structural well-formedness checks; returns problem strings.
 
-    Re-derives the invariants a backend relies on: SSA ordering, store
+    Re-derives the invariants a consumer relies on: SSA ordering, store
     placements inside their pools, exactly-once task coverage across
     units, and sequential-domain completeness.  An empty list means the
     IR is safe to interpret.

@@ -64,45 +64,15 @@ def _load_flow(args) -> RTLFlow:
     return RTLFlow.from_files(args.sources, args.top)
 
 
-#: ``--backend`` choices (availability is checked at use, not parse).
-BACKEND_CHOICES = ("numpy", "tensor", "numba", "cupy")
-
-
-def _resolve_executor_backend(executor: str, backend: str) -> str:
-    """Reconcile ``--executor`` and ``--backend``.
-
-    Non-numpy backends only execute through the fused engine; the default
-    ``graph`` executor silently upgrades (with a note) so
-    ``repro run --backend tensor`` just works.  An explicit non-fused
-    executor is a real conflict and raises.
-    """
-    if backend in (None, "numpy"):
-        return executor
-    if executor in ("graph-fused", "fused"):
-        return executor
-    if executor == "graph":
-        print(f"note: --backend {backend} runs on the fused engine; "
-              f"using executor graph-fused", file=sys.stderr)
-        return "graph-fused"
-    raise ReproError(
-        f"--backend {backend} requires --executor graph-fused "
-        f"(got {executor!r})"
-    )
-
-
 def cmd_stats(args) -> int:
-    from repro.backends import backend_report
-
     flow = _load_flow(args)
     stats = flow.graph.stats()
     tg = flow.taskgraph()
-    backends = backend_report()
     if args.json:
         import json
 
         print(json.dumps(
-            {"top": args.top, "graph": stats, "taskgraph": tg.stats(),
-             "active_backend": args.backend, "backends": backends},
+            {"top": args.top, "graph": stats, "taskgraph": tg.stats()},
             indent=2, sort_keys=True, default=float,
         ))
         return 0
@@ -115,14 +85,6 @@ def cmd_stats(args) -> int:
         [[k, round(v, 2) if isinstance(v, float) else v]
          for k, v in tg.stats().items()],
         title="default task graph",
-    ))
-    print()
-    print(format_table(
-        ["backend", "available", "summary"],
-        [[b["name"] + (" *" if b["name"] == args.backend else ""),
-          "yes" if b["available"] else f"no ({b['reason']})",
-          b["summary"]] for b in backends],
-        title="executor backends (* = selected)",
     ))
     return 0
 
@@ -244,19 +206,14 @@ def cmd_verify(args) -> int:
 
     reports = [
         verify_source(text, top, filename=fname, rules=rules,
-                      target_weight=args.target_weight,
-                      backend=args.backend)
+                      target_weight=args.target_weight)
         for fname, text, top in jobs
     ]
 
     if args.json:
         import json
 
-        payload = []
-        for r in reports:
-            d = r.to_dict()
-            d["backend"] = args.backend
-            payload.append(d)
+        payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload,
                          indent=2, sort_keys=True))
     else:
@@ -264,7 +221,6 @@ def cmd_verify(args) -> int:
             if i:
                 print()
             print(report.format_text())
-            print(f"backend under verification: {args.backend}")
 
     if args.fail_on == "never":
         return 0
@@ -325,8 +281,7 @@ def _apply_loads(flow: RTLFlow, sim, loads) -> None:
 def cmd_simulate(args) -> int:
     flow = _load_flow(args)
     stim = _make_stimulus(flow, args)
-    executor = _resolve_executor_backend(args.executor, args.backend)
-    sim = flow.simulator(n=stim.n, executor=executor, backend=args.backend)
+    sim = flow.simulator(n=stim.n, executor=args.executor)
     _apply_loads(flow, sim, args.load)
     outs = sim.run(stim, cycles=args.cycles)
     rows = []
@@ -341,8 +296,7 @@ def cmd_simulate(args) -> int:
     if args.vcd is not None:
         from repro.waveform.vcd import dump_vcd
 
-        sim2 = flow.simulator(n=stim.n, executor=executor,
-                              backend=args.backend)
+        sim2 = flow.simulator(n=stim.n, executor=args.executor)
         _apply_loads(flow, sim2, args.load)
         dump_vcd(args.vcd, sim2, stim, lane=args.vcd_lane, cycles=args.cycles)
         print(f"wrote {args.vcd} (lane {args.vcd_lane})")
@@ -390,10 +344,8 @@ def cmd_profile(args) -> int:
         with tracer.span("transpile+compile", resource="flow"):
             model = flow.compile(use_mcmc=args.mcmc_iters > 0)
         device = SimulatedDevice(tracer=tracer)
-        executor = _resolve_executor_backend(args.executor, args.backend)
-        sim = BatchSimulator(model, args.batch, executor=executor,
-                             device=device, tracer=tracer, metrics=metrics,
-                             backend=args.backend)
+        sim = BatchSimulator(model, args.batch, executor=args.executor,
+                             device=device, tracer=tracer, metrics=metrics)
         bundle.preload(sim)
         stim = bundle.make_stimulus(args.batch, args.cycles, args.seed)
         sim.run(stim)
@@ -416,8 +368,7 @@ def cmd_profile(args) -> int:
     print(format_table(
         ["span", "count", "total", "mean"], rows,
         title=f"profile: {args.design} ({args.batch} stimulus x "
-              f"{args.cycles} cycles, executor={executor}, "
-              f"backend={sim.backend})",
+              f"{args.cycles} cycles, executor={args.executor})",
     ))
     mcmc = flow.mcmc_result
     if mcmc is not None:
@@ -436,21 +387,15 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _verified_executor(
-    model, design: str, executor: str, backend: str = "numpy"
-) -> str:
+def _verified_executor(model, design: str) -> str:
     """``--verify`` preflight: statically verify the compiled model (the
-    selected backend's lowering included), then swap the executor for the
-    runtime sanitizer so the run also checks declared write footprints
-    and epoch monotonicity.  The sanitizer replays the reference task
-    path regardless of backend — the backend's bundle was just verified
-    statically, and the sanitizer's job is the task-level invariants."""
+    fused lowering included), then swap the executor for the runtime
+    sanitizer so the run also checks declared write footprints and epoch
+    monotonicity."""
     from repro.utils.errors import VerificationError
     from repro.verify import verify_model
 
-    report = verify_model(
-        model, filename=f"<design:{design}>", backend=backend
-    )
+    report = verify_model(model, filename=f"<design:{design}>")
     if report.errors:
         raise VerificationError(
             f"{design}: verifier found {len(report.errors)} error(s):\n"
@@ -475,11 +420,9 @@ def cmd_run(args) -> int:
     flow = RTLFlow.from_source(bundle.source, bundle.top)
     model = flow.compile()
 
-    executor = _resolve_executor_backend(args.executor, args.backend)
+    executor = args.executor
     if args.verify:
-        executor = _verified_executor(
-            model, args.design, executor, backend=args.backend
-        )
+        executor = _verified_executor(model, args.design)
 
     plan = None
     if args.inject_lane_fault or args.inject_checkpoint_failure:
@@ -509,19 +452,13 @@ def cmd_run(args) -> int:
         raise ReproError("--resume requires --checkpoint-dir")
 
     if args.groups > 1:
-        if args.backend != "numpy":
-            raise ReproError(
-                "--groups > 1 (pipeline scheduler) supports only the "
-                "numpy backend for now"
-            )
         sim = PipelineSimulator(
             model, args.batch, groups=args.groups, executor=executor,
             fault_isolation=isolation,
         )
     else:
         sim = BatchSimulator(model, args.batch, executor=executor,
-                             fault_isolation=isolation,
-                             backend=args.backend)
+                             fault_isolation=isolation)
     bundle.preload(sim)
 
     start = 0
@@ -552,8 +489,6 @@ def cmd_run(args) -> int:
         ["output", "final values (hex, first lanes)"], rows,
         title=f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
               f"(executor={executor}"
-              + (f", backend={args.backend}" if args.backend != "numpy"
-                 else "")
               + (f", groups={args.groups}" if args.groups > 1 else "") + ")",
     ))
     if mgr is not None:
@@ -597,8 +532,7 @@ def cmd_campaign(args) -> int:
         from repro.verify import verify_source
 
         report = verify_source(bundle.source, bundle.top,
-                               filename=f"<design:{args.design}>",
-                               backend=args.backend)
+                               filename=f"<design:{args.design}>")
         if report.errors:
             raise VerificationError(
                 f"{args.design}: verifier found {len(report.errors)} "
@@ -641,8 +575,7 @@ def cmd_campaign(args) -> int:
         cycles=args.cycles,
         design=args.design,
         seed=args.seed,
-        executor=_resolve_executor_backend(args.executor, args.backend),
-        backend=args.backend,
+        executor=args.executor,
         watch=bundle.watch,
         fault_isolation=args.fault_isolation or bool(lane_faults),
         lane_faults=lane_faults,
@@ -672,9 +605,7 @@ def cmd_campaign(args) -> int:
         ["output", "final values (hex, first lanes)"], rows,
         title=f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
               f"({len(result.shards)} shards, {args.workers} workers, "
-              f"executor={spec.executor}"
-              + (f", backend={spec.backend}" if spec.backend != "numpy"
-                 else "") + ")",
+              f"executor={spec.executor})",
     ))
     print(result.summary())
     hits = sum(1 for o in result.shards if o.cache_hit)
@@ -745,8 +676,7 @@ def _submit_spec(args):
         cycles=args.cycles,
         design=args.design,
         seed=args.seed,
-        executor=_resolve_executor_backend(args.executor, args.backend),
-        backend=args.backend,
+        executor=args.executor,
         watch=bundle.watch,
         fault_isolation=bool(lane_faults),
         lane_faults=lane_faults,
@@ -872,14 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a metrics snapshot JSON of the run")
         p.set_defaults(_auto_telemetry=True)
 
-    def add_backend_arg(p):
-        p.add_argument("--backend", choices=list(BACKEND_CHOICES),
-                       default="numpy",
-                       help="lowering backend for the fused engine "
-                            "(numpy is the default; tensor always works; "
-                            "numba/cupy when importable — see "
-                            "docs/backends.md)")
-
     def add_stim_args(p):
         p.add_argument("--batch", "-n", type=int, default=256,
                        help="number of stimulus (random mode)")
@@ -894,7 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="print RTL graph statistics")
     add_design_args(p)
-    add_backend_arg(p)
     p.add_argument("--json", action="store_true",
                    help="emit the statistics as JSON instead of tables")
     p.set_defaults(fn=cmd_stats)
@@ -943,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the mutation self-test instead: inject "
                         "synthetic IR corruptions and require the "
                         "verifier to flag every one")
-    add_backend_arg(p)
     p.add_argument("--json", action="store_true",
                    help="emit structured diagnostics as JSON")
     p.add_argument("--fail-on", choices=["error", "warning", "info", "never"],
@@ -965,7 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_stim_args(p)
     p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
                    default="graph")
-    add_backend_arg(p)
     p.add_argument("--vcd", default=None, help="dump one lane's VCD here")
     p.add_argument("--vcd-lane", type=int, default=0)
     add_telemetry_args(p)
@@ -991,7 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
                    default="graph")
-    add_backend_arg(p)
     p.add_argument("--mcmc-iters", type=int, default=8,
                    help="MCMC partition-tuning iterations (0 disables)")
     p.add_argument("--top", type=int, default=12,
@@ -1015,7 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
                    default="graph")
-    add_backend_arg(p)
     p.add_argument("--groups", type=int, default=1,
                    help="run through the pipeline scheduler with this many "
                         "stimulus groups (default: single simulator)")
@@ -1061,7 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
                    default="graph")
-    add_backend_arg(p)
     p.add_argument("--workers", "-w", type=int, default=2,
                    help="worker processes (0 = run shards inline, no "
                         "multiprocessing)")
@@ -1158,7 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
                    default="graph")
-    add_backend_arg(p)
     p.add_argument("--inject-lane-fault", action="append", default=[],
                    metavar="CYCLE:LANE[:REASON]",
                    help="deterministically quarantine a global LANE at "

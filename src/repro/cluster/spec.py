@@ -85,9 +85,9 @@ class CampaignSpec:
     # Workers rebuild the design independently; this catches a worker
     # whose rebuild produced corrupt IR, not just a bad input design.
     verify: bool = False
-    # Lowering backend every worker rebuilds (see repro.backends).
-    # Part of the signature: shard results from different lowerings are
-    # bit-identical by contract but must never silently mix on resume.
+    # Kernel lowering; numpy is the only one.  Kept as a field because it
+    # is part of every signature: persisted shard results and durable job
+    # records are keyed by specs that carry it.
     backend: str = "numpy"
 
     def validate(self) -> None:
@@ -109,21 +109,10 @@ class CampaignSpec:
                 )
             if cycle < 0:
                 raise ClusterError(f"lane fault cycle must be >= 0, got {cycle}")
-        # Local import: repro.backends pulls in the codegen stack, which
-        # spec construction/pickling must not depend on.
-        from repro.backends import BACKENDS
-
-        if self.backend not in BACKENDS:
+        if self.backend != "numpy":
             raise ClusterError(
-                f"unknown backend {self.backend!r}; known backends: "
-                + ", ".join(sorted(BACKENDS))
-            )
-        if self.backend != "numpy" and self.executor not in (
-            "graph-fused", "fused"
-        ):
-            raise ClusterError(
-                f"backend {self.backend!r} requires executor='graph-fused', "
-                f"got {self.executor!r}"
+                f"backend {self.backend!r} is not supported: the backend "
+                "layer was removed and numpy is the only lowering"
             )
 
     def signature(self) -> str:

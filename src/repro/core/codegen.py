@@ -28,7 +28,7 @@ import linecache
 import time
 from dataclasses import dataclass, field
 from types import CodeType
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -1016,8 +1016,8 @@ def mem_write_bindings(graph: RtlGraph, layout: MemoryLayout) -> List[MemWriteBi
     """Commit-time bindings for ``layout``'s scratch slots (program order).
 
     Shared by every lowering of the same layout — the generated-source
-    codegens and the IR-interpreting backends must agree on these offsets
-    or commits would scatter through the wrong scratch.
+    codegens and the kernel IR must agree on these offsets or commits
+    would scatter through the wrong scratch.
     """
     mem_writes: List[MemWriteBinding] = []
     for node in graph.memw_nodes:  # original program order
@@ -1133,8 +1133,6 @@ class CompiledModel:
     source: str
     namespace: Dict[str, object]
     task_fns: Dict[int, Callable]
-    fused_comb: Optional[Callable]
-    fused_seq: Dict[Tuple[str, str], Callable]
     mem_writes: List[MemWriteBinding]
     transpile_seconds: float = 0.0
     _task_accesses: Optional[Dict[int, TaskAccess]] = field(
@@ -1253,21 +1251,6 @@ class KernelCodegen:
             lines.append("    pass")
         return lines
 
-    def _fused_fn(self, name: str, tids: List[int]) -> List[str]:
-        lines = [
-            f"# fused kernel: {len(tids)} tasks inlined (whole-graph optimization)",
-            f"def {name}(P8, P16, P32, P64, N, LANE):",
-        ]
-        any_stmt = False
-        for tid in tids:
-            for nid in self.tg.tasks[tid].nodes:
-                for stmt in self._node_stmts(self.graph.nodes[nid]):
-                    lines.append(f"    {stmt}")
-                    any_stmt = True
-        if not any_stmt:
-            lines.append("    pass")
-        return lines
-
     # -- module generation --------------------------------------------------------
 
     def generate_source(self) -> str:
@@ -1291,19 +1274,6 @@ class KernelCodegen:
             body.extend(self._task_fn(task.tid))
             body.append("")
 
-        # Fused variants: the whole comb phase, and each seq domain, as a
-        # single callable (used by the CUDA-Graph-style executor).
-        body.extend(self._fused_fn("comb_fused", list(self.tg.comb_topo)))
-        body.append("")
-        domains: Dict[Tuple[str, str], List[int]] = {}
-        for t in self.tg.tasks:
-            if t.kind is NodeKind.SEQ:
-                domains.setdefault((t.clock, t.edge), []).append(t.tid)
-        self._domains = domains
-        for i, ((clock, edge), tids) in enumerate(domains.items()):
-            body.extend(self._fused_fn(f"seq_fused_{i}", tids))
-            body.append("")
-
         tasklist = ", ".join(f"task_{t.tid}" for t in self.tg.tasks)
         body.append(f"TASKS = [{tasklist}]")
         return "\n".join(header + [""] + body) + "\n"
@@ -1321,10 +1291,6 @@ class KernelCodegen:
         elapsed = time.perf_counter() - t0
 
         task_fns = {t.tid: ns[f"task_{t.tid}"] for t in self.tg.tasks}
-        fused_seq = {
-            dom: ns[f"seq_fused_{i}"]
-            for i, dom in enumerate(self._domains)
-        }
         mem_writes = self._mem_write_bindings()
 
         return CompiledModel(
@@ -1334,8 +1300,6 @@ class KernelCodegen:
             source=source,
             namespace=ns,
             task_fns=task_fns,
-            fused_comb=ns["comb_fused"],
-            fused_seq=fused_seq,
             mem_writes=mem_writes,
             transpile_seconds=elapsed,
         )
@@ -1345,10 +1309,8 @@ class KernelCodegen:
 class FusedProgram:
     """One straight-line compiled program (a partition x clock-domain unit).
 
-    The backend-neutral handle the simulator executes: ``fn`` is today a
-    compiled numpy program, but the fields deliberately expose nothing
-    numpy-specific, so a future backend can lower the same
-    :class:`FusedPrograms` bundle through a different code path.
+    The handle the simulator executes: ``fn`` is a compiled numpy
+    program over the packed pools.
     """
 
     name: str
@@ -1379,20 +1341,20 @@ class FusedPrograms:
     transpile_seconds: float = 0.0
     # Rewrite claims the emitter made, for the translation validator.
     audit: List[AuditRecord] = field(default_factory=list)
-    # Which lowering backend produced this bundle (see repro.backends).
-    backend: str = "numpy"
+    # The lowering that produced this bundle; numpy is the only one.
+    backend: ClassVar[str] = "numpy"
 
 
 class FusedProgramCodegen(KernelCodegen):
     """Flat-program code generator over the bit-packed layout.
 
-    Where :class:`KernelCodegen` emits one function per macro task (plus
-    inlined concatenations of those bodies), this emits exactly one
-    ``compile()``-d straight-line function per execution unit — the
-    whole comb phase, and each sequential clock domain — with no
-    per-task function calls left on the replay path, mirroring the
-    paper's define-once/replay-per-cycle CUDA Graph.  Expressions lower
-    through :class:`FusedExprCodegen` (packed/native/uint64 tiers).
+    Where :class:`KernelCodegen` emits one function per macro task, this
+    emits exactly one ``compile()``-d straight-line function per
+    execution unit — the whole comb phase, and each sequential clock
+    domain — with no per-task function calls left on the replay path,
+    mirroring the paper's define-once/replay-per-cycle CUDA Graph.
+    Expressions lower through :class:`FusedExprCodegen`
+    (packed/native/uint64 tiers).
     """
 
     def __init__(self, taskgraph: TaskGraph, layout: Optional[MemoryLayout] = None):

@@ -210,24 +210,20 @@ class RTLFlow:
         use_mcmc: bool = False,
         target_weight: float = DEFAULT_TARGET_WEIGHT,
         strategy: str = "levelpack",
-        backend: Optional[str] = None,
     ) -> BatchSimulator:
         """Build a batch simulator for ``n`` stimulus.
 
         ``executor`` picks the replay engine: ``"graph"`` (unconditional
-        CUDA-Graph-style replay, the default), ``"graph-fused"``,
+        CUDA-Graph-style replay, the default), ``"graph-fused"`` (one
+        flat program per phase — see docs/fusion.md),
         ``"graph-conditional"`` (activity-aware dirty-set replay that
-        skips quiescent tasks — see docs/activity.md), or ``"stream"``.
-        ``backend`` picks the lowering for the fused engine (see
-        :mod:`repro.backends`; non-numpy backends require
-        ``executor="graph-fused"``).
+        skips quiescent tasks — see docs/activity.md), ``"stream"``, or
+        ``"sanitize"`` (the runtime hazard sanitizer).
         """
         model = self.compile(
             target_weight=target_weight, strategy=strategy, use_mcmc=use_mcmc
         )
-        return BatchSimulator(
-            model, n, executor=executor, device=device, backend=backend
-        )
+        return BatchSimulator(model, n, executor=executor, device=device)
 
     # -- stimulus ----------------------------------------------------------------
 

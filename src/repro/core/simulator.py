@@ -48,42 +48,29 @@ def make_executor(
     model: CompiledModel,
     device: SimulatedDevice,
     kind: str = "graph",
-    backend: Optional[str] = None,
     **kwargs,
 ):
-    """Executor factory: 'graph' (default), 'graph-fused', 'graph-inlined',
-    'graph-conditional', or 'stream'.
+    """Executor factory: 'graph' (default), 'graph-fused',
+    'graph-conditional', 'stream', or 'sanitize'.
 
+    'graph' replays the per-task kernels define-once, CUDA-Graph style.
     'graph-fused' is the flat-program engine: the whole comb phase (and
     each clock domain) runs as one straight-line compiled program over a
     bit-packed layout — no per-task dispatch remains (see
     :class:`~repro.gpu.graphexec.FusedProgramExecutor` and
-    docs/fusion.md).  'graph-inlined' keeps the older source-level task
-    inlining over the unpacked layout.  'graph-conditional' is the
-    activity-aware engine: it replays only the macro tasks whose inputs
-    changed since their last execution (see
+    docs/fusion.md).  'graph-conditional' is the activity-aware engine:
+    it replays only the macro tasks whose inputs changed since their
+    last execution (see
     :class:`~repro.gpu.graphexec.ConditionalGraphExecutor` and
     docs/activity.md), trading a small per-replay dirty-set check for
-    skipping quiescent logic entirely.
-
-    ``backend`` selects the lowering for the fused engine (see
-    :mod:`repro.backends`); only ``graph-fused`` executes alternative
-    backend bundles (the sanitizer runs the reference task path, and
-    ``repro verify --backend`` checks backends statically).
+    skipping quiescent logic entirely.  'stream' launches every kernel
+    on streams with events (the paper's Table 4 contrast), and
+    'sanitize' is the runtime hazard sanitizer (see docs/verify.md).
     """
-    if backend not in (None, "numpy") and kind not in (
-        "graph-fused", "fused", "sanitize", "sanitized"
-    ):
-        raise SimulationError(
-            f"backend {backend!r} requires the fused executor "
-            f"(executor='graph-fused'), not {kind!r}"
-        )
     if kind == "graph":
-        return CudaGraphExecutor(model, device, fused=False)
+        return CudaGraphExecutor(model, device)
     if kind in ("graph-fused", "fused"):
-        return FusedProgramExecutor(model, device, backend=backend, **kwargs)
-    if kind in ("graph-inlined", "inlined"):
-        return CudaGraphExecutor(model, device, fused=True)
+        return FusedProgramExecutor(model, device)
     if kind in ("graph-conditional", "conditional"):
         return ConditionalGraphExecutor(model, device, **kwargs)
     if kind == "stream":
@@ -114,6 +101,9 @@ class BatchSimulator:
     ``set_inputs``/``evaluate`` split.
     """
 
+    #: The kernel lowering in effect; numpy is the only one.
+    backend = "numpy"
+
     def __init__(
         self,
         model: CompiledModel,
@@ -124,7 +114,6 @@ class BatchSimulator:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_isolation: bool = False,
-        backend: Optional[str] = None,
     ):
         self.model = model
         self.n = n
@@ -132,14 +121,9 @@ class BatchSimulator:
         self.metrics = metrics if metrics is not None else get_metrics()
         self.device = device or SimulatedDevice(tracer=self.tracer)
         self.executor = (
-            make_executor(model, self.device, executor, backend=backend)
+            make_executor(model, self.device, executor)
             if isinstance(executor, str)
             else executor
-        )
-        # The lowering backend actually in effect (executors built
-        # elsewhere carry their own; plain executors are numpy-lowered).
-        self.backend = (
-            getattr(self.executor, "backend", None) or backend or "numpy"
         )
         # The fused executor runs against its own bit-packed layout and
         # carries the matching memory-write bindings; every other

@@ -1,11 +1,12 @@
 """CUDA-Graph-style execution (§3.2.2, Fig. 9b).
 
 The task graph is *instantiated once* into an executable plan — a flat,
-dependency-respecting kernel order (plus optional whole-graph fusion into
-a single kernel, the strongest form of the "whole-graph optimizations the
-CUDA runtime can perform").  Each evaluation then replays the plan with a
-single launch call, eliminating the per-kernel stream/event bookkeeping
-the stream executor re-pays every cycle.
+dependency-respecting kernel order.  Each evaluation then replays the
+plan with a single launch call, eliminating the per-kernel stream/event
+bookkeeping the stream executor re-pays every cycle.  The fused
+flat-program executor is the strongest form of the "whole-graph
+optimizations the CUDA runtime can perform": one straight-line program
+per phase.
 """
 
 from __future__ import annotations
@@ -28,27 +29,17 @@ class CudaGraphExecutor:
 
     name = "graph"
 
-    def __init__(
-        self,
-        model: CompiledModel,
-        device: SimulatedDevice,
-        fused: bool = False,
-    ):
+    def __init__(self, model: CompiledModel, device: SimulatedDevice):
         self.model = model
         self.device = device
-        self.fused = fused
         # --- cudaGraphInstantiate analog: done exactly once -------------
-        if fused:
-            self._comb_plan: List[Callable] = [model.fused_comb]
-            self._seq_plans: Dict[Tuple[str, str], List[Callable]] = {
-                dom: [fn] for dom, fn in model.fused_seq.items()
-            }
-        else:
-            self._comb_plan = [model.task_fns[t] for t in model.comb_schedule()]
-            self._seq_plans = {
-                dom: [model.task_fns[t] for t in model.seq_schedule(*dom)]
-                for dom in model.clock_domains()
-            }
+        self._comb_plan: List[Callable] = [
+            model.task_fns[t] for t in model.comb_schedule()
+        ]
+        self._seq_plans: Dict[Tuple[str, str], List[Callable]] = {
+            dom: [model.task_fns[t] for t in model.seq_schedule(*dom)]
+            for dom in model.clock_domains()
+        }
 
     def run_comb(self, arrays: DeviceArrays) -> None:
         if self._comb_plan:
@@ -82,24 +73,10 @@ class FusedProgramExecutor:
     name = "graph-fused"
     wants_packed = True
 
-    def __init__(
-        self,
-        model: CompiledModel,
-        device: SimulatedDevice,
-        programs=None,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, model: CompiledModel, device: SimulatedDevice):
         self.model = model
         self.device = device
-        if programs is None:
-            if backend in (None, "numpy"):
-                programs = model.fused()
-            else:
-                from repro.backends import get_backend
-
-                programs = get_backend(backend).compile(model)
-        self.backend = backend or getattr(programs, "backend", "numpy")
-        self.programs = programs
+        self.programs = programs = model.fused()
         self.layout = programs.layout
         self.mem_writes = programs.mem_writes
         # cudaGraphInstantiate analog: plans are fixed at construction.

@@ -7,10 +7,12 @@ lifecycle is a :class:`JobRecord`, and merged numpy outputs serialize
 through :func:`encode_outputs` (per-lane hex strings plus dtype/shape,
 lossless for the uint64-tier arrays the simulator produces).
 
-:func:`outputs_digest` is the byte-identity fingerprint the acceptance
-tests and the CI smoke job compare: sha256 over every output's name,
-dtype, shape and raw bytes in name order.  Two runs whose digests match
-produced bit-identical merged results.
+:func:`outputs_digest` is the content fingerprint the acceptance tests
+and the CI smoke job compare: sha256 over every output's name, dtype,
+shape and values in name order (raw bytes for fixed-width dtypes,
+per-element integer bytes for the object arrays of outputs wider than
+64 bits).  Two runs whose digests match produced bit-identical merged
+results.
 """
 
 from __future__ import annotations
@@ -109,13 +111,31 @@ def decode_outputs(enc: dict) -> Dict[str, np.ndarray]:
     return out
 
 
+def _value_bytes(arr: np.ndarray) -> bytes:
+    """The bytes that stand for ``arr``'s values in a digest.
+
+    Fixed-width dtypes hash their raw buffer.  Object arrays (outputs
+    wider than 64 bits hold Python ints) would hash PyObject pointers
+    that way, so each element is hashed by value instead: a 4-byte
+    length, then its little-endian signed bytes.
+    """
+    if arr.dtype != object:
+        return arr.tobytes()
+    parts = []
+    for v in arr.reshape(-1):
+        v = int(v)
+        b = v.to_bytes((v.bit_length() + 8) // 8, "little", signed=True)
+        parts.append(len(b).to_bytes(4, "little") + b)
+    return b"".join(parts)
+
+
 def outputs_digest(outputs: Dict[str, np.ndarray]) -> str:
-    """sha256 byte-identity fingerprint of a merged output set."""
+    """sha256 content fingerprint of a merged output set."""
     h = hashlib.sha256()
     for name in sorted(outputs):
         arr = np.ascontiguousarray(outputs[name])
         h.update(f"{name}:{arr.dtype}:{arr.shape};".encode())
-        h.update(arr.tobytes())
+        h.update(_value_bytes(arr))
     return h.hexdigest()
 
 

@@ -1,43 +1,33 @@
-"""Pluggable executor backends: kernel IR + cross-backend bit identity.
+"""The kernel IR in ``repro.backends`` and what is left of the backend layer.
 
-The backend contract (docs/backends.md): every backend lowers the same
-task graph to a fused-program bundle that is **bit-identical** to the
-reference executors at every store boundary, shares the packed
-``MemoryLayout`` (so checkpoints transfer across backends), and covers
-every sequential clock domain.  ``numpy`` is the default (the existing
-fused flat-program emitter); ``tensor`` re-lowers through the
-backend-neutral kernel IR; ``numba``/``cupy`` are import-gated and must
-skip cleanly when their runtime is absent.
+``build_kernel_ir`` lowers a task graph to explicit SSA batch ops over
+the packed layout; ``validate_ir`` re-derives its structural invariants.
+The pluggable backends are gone: numpy is the only lowering, and the
+``backend`` attributes that persisted stores and job records carry stay
+as the constant ``"numpy"`` (docs/fusion.md, "Kernel IR").  The numpy
+lowering keeps its contract: a fused-program bundle bit-identical to the
+per-node ``graph`` executor at every store boundary, on the packed
+``MemoryLayout``, covering every sequential clock domain.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    BackendUnavailableError,
-    available_backends,
-    backend_report,
-    build_kernel_ir,
-    get_backend,
-    validate_ir,
-)
-from repro.cluster import CampaignSpec, run_campaign
+from repro.backends import build_kernel_ir, validate_ir
+from repro.cluster import CampaignSpec
+from repro.cluster.spec import ShardSpec
 from repro.core.codegen import transpile
 from repro.core.simulator import BatchSimulator
-from repro.designs import get_design
 from repro.resilience import FaultPlan, LaneFaultSpec
 from repro.stimulus.generator import random_batch
-from repro.utils.errors import ClusterError, SimulationError
-from repro.verify import verify_model
+from repro.utils.errors import ClusterError
 
 from tests.conftest import ALU_V, COUNTER_V, HIER_V, MEMDUT_V, compile_graph
 from tests.test_fusion import MEMOOB_V, WIDEACC_V
 
-# Combinational soup over the opcodes the IR interpreter must mirror
-# exactly: mul/div/mod (division-by-zero fault sink), shifts by a
-# dynamic amount, reductions with inversion, concat with constant
+# Combinational soup over the opcodes the fused emitter and the kernel IR
+# must both get right: mul/div/mod (division-by-zero fault sink), shifts
+# by a dynamic amount, reductions with inversion, concat with constant
 # parts, part selects and a mux.
 OPSOUP_V = """
 module opsoup (
@@ -61,11 +51,9 @@ def _model(src, top):
     return transpile(compile_graph(src, top))
 
 
-def _run(model, n, stim, executor, backend=None, faults=None):
-    sim = BatchSimulator(
-        model, n, executor=executor, backend=backend,
-        fault_isolation=bool(faults),
-    )
+def _run(model, n, stim, executor, faults=None):
+    sim = BatchSimulator(model, n, executor=executor,
+                         fault_isolation=bool(faults))
     plan = (
         FaultPlan(lane_faults=[
             LaneFaultSpec(cycle=c, lane=l, reason=r) for c, l, r in faults
@@ -76,18 +64,9 @@ def _run(model, n, stim, executor, backend=None, faults=None):
     return {k: np.asarray(v).copy() for k, v in outs.items()}, sim
 
 
-def _backend_params():
-    """Every registered backend, unavailable ones as clean skips."""
-    params = []
-    for name in sorted(BACKENDS):
-        cls = BACKENDS[name]
-        marks = () if cls.available() else pytest.mark.skip(
-            reason=cls.unavailable_reason())
-        params.append(pytest.param(name, id=name, marks=marks))
-    return params
-
-
-BACKEND_MATRIX = _backend_params()
+# The one lowering left.  It stays a parameter so each check asserts the
+# simulator reports it, as persisted stores and job records record it.
+BACKEND_MATRIX = [pytest.param("numpy", id="numpy")]
 
 DESIGN_MATRIX = [
     pytest.param(COUNTER_V, "counter", id="counter"),
@@ -98,40 +77,6 @@ DESIGN_MATRIX = [
     pytest.param(WIDEACC_V, "wideacc", id="wide-96bit"),
     pytest.param(OPSOUP_V, "opsoup", id="op-soup"),
 ]
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-def test_registry_default_and_availability():
-    assert DEFAULT_BACKEND == "numpy"
-    assert "numpy" in available_backends()
-    assert "tensor" in available_backends()
-    assert get_backend("numpy").name == "numpy"
-
-
-def test_registry_unknown_backend_raises():
-    with pytest.raises(SimulationError, match="unknown backend"):
-        get_backend("fortran")
-
-
-def test_registry_unavailable_backend_raises():
-    missing = [n for n, c in BACKENDS.items() if not c.available()]
-    if not missing:
-        pytest.skip("all registered backends importable here")
-    with pytest.raises(BackendUnavailableError):
-        get_backend(missing[0])
-
-
-def test_backend_report_shape():
-    rows = backend_report()
-    assert {r["name"] for r in rows} == set(BACKENDS)
-    for r in rows:
-        assert set(r) >= {"name", "available", "accelerated", "summary",
-                          "reason"}
-        if not r["available"]:
-            assert r["reason"]
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +108,26 @@ def test_kernel_ir_render_is_readable():
 @pytest.mark.parametrize("backend", BACKEND_MATRIX)
 def test_bundle_contract(backend):
     model = _model(COUNTER_V, "counter")
-    bundle = get_backend(backend).compile(model)
+    bundle = model.fused()
     assert bundle.backend == backend
     assert callable(bundle.comb.fn)
     assert set(bundle.seq) == set(model.clock_domains())
-    # All backends share the packed layout => checkpoints transfer.
-    ref = model.fused().layout
-    assert bundle.layout.pool_sizes == ref.pool_sizes
-    assert bundle.layout.packed_size == ref.packed_size
+    assert bundle.layout.packed
 
 
-def test_numpy_backend_reuses_fused_bundle():
-    model = _model(COUNTER_V, "counter")
-    assert get_backend("numpy").compile(model) is model.fused()
-
-
-def test_non_numpy_backend_requires_fused_executor():
-    model = _model(COUNTER_V, "counter")
-    with pytest.raises(SimulationError, match="fused"):
-        BatchSimulator(model, 8, executor="graph", backend="tensor")
+# ---------------------------------------------------------------------------
+# Compatibility: the backend attributes are the constant "numpy"
 
 
 def test_simulator_reports_active_backend():
     model = _model(COUNTER_V, "counter")
-    sim = BatchSimulator(model, 8, executor="graph-fused", backend="tensor")
-    assert sim.backend == "tensor"
     assert BatchSimulator(model, 8).backend == "numpy"
+    assert BatchSimulator(model, 8, executor="graph-fused").backend == "numpy"
+    assert model.fused().backend == "numpy"
 
 
 # ---------------------------------------------------------------------------
-# Differential matrix: per-node graph executor vs each backend's lowering
+# Differential matrix: per-node graph executor vs the fused lowering
 
 
 @pytest.mark.parametrize("backend", BACKEND_MATRIX)
@@ -202,7 +137,8 @@ def test_backend_bit_identical_to_graph(src, top, n, backend):
     model = _model(src, top)
     stim = random_batch(model.design, n, 30, seed=9)
     ref, _ = _run(model, n, stim, "graph")
-    got, _ = _run(model, n, stim, "graph-fused", backend=backend)
+    got, sim = _run(model, n, stim, "graph-fused")
+    assert sim.backend == backend
     assert set(ref) == set(got)
     for name in ref:
         np.testing.assert_array_equal(ref[name], got[name], err_msg=name)
@@ -215,8 +151,8 @@ def test_backend_with_quarantined_lanes_matches_graph(backend):
     stim = random_batch(model.design, n, 40, seed=7)
     faults = [(7, 13, "injected"), (15, 2, "injected")]
     ref, ref_sim = _run(model, n, stim, "graph", faults=faults)
-    got, got_sim = _run(model, n, stim, "graph-fused", backend=backend,
-                        faults=faults)
+    got, got_sim = _run(model, n, stim, "graph-fused", faults=faults)
+    assert got_sim.backend == backend
     for name in ref:
         np.testing.assert_array_equal(ref[name], got[name], err_msg=name)
     assert ref_sim.quarantine.faulted_lanes() == \
@@ -224,7 +160,7 @@ def test_backend_with_quarantined_lanes_matches_graph(backend):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: within a backend and across backends (shared layout)
+# Checkpoints
 
 
 @pytest.mark.parametrize("backend", BACKEND_MATRIX)
@@ -232,51 +168,36 @@ def test_backend_midrun_checkpoint_restore(backend):
     model = _model(COUNTER_V, "counter")
     n = 16
     stim = random_batch(model.design, n, 50, seed=4)
-    ref, _ = _run(model, n, stim, "graph-fused", backend=backend)
+    ref, _ = _run(model, n, stim, "graph-fused")
 
-    sim = BatchSimulator(model, n, executor="graph-fused", backend=backend)
+    sim = BatchSimulator(model, n, executor="graph-fused")
+    assert sim.backend == backend
     sim.run(stim, cycles=23)
     ckpt = sim.save_checkpoint()
 
-    fresh = BatchSimulator(model, n, executor="graph-fused", backend=backend)
+    fresh = BatchSimulator(model, n, executor="graph-fused")
     fresh.restore_checkpoint(ckpt)
     assert fresh.cycles_run == 23
     out = fresh.run(stim, trace_every=1, start_cycle=fresh.cycles_run)
     np.testing.assert_array_equal(out["count"][-1], ref["count"][-1])
 
 
-def test_checkpoint_transfers_across_backends():
-    # Save under the numpy lowering, resume under tensor: identical
-    # MemoryLayout makes the snapshot backend-portable.
-    model = _model(COUNTER_V, "counter")
-    n = 16
-    stim = random_batch(model.design, n, 50, seed=4)
-    ref, _ = _run(model, n, stim, "graph-fused")
-
-    sim = BatchSimulator(model, n, executor="graph-fused", backend="numpy")
-    sim.run(stim, cycles=23)
-    ckpt = sim.save_checkpoint()
-
-    other = BatchSimulator(model, n, executor="graph-fused", backend="tensor")
-    other.restore_checkpoint(ckpt)
-    out = other.run(stim, trace_every=1, start_cycle=other.cycles_run)
-    np.testing.assert_array_equal(out["count"][-1], ref["count"][-1])
-
-
 # ---------------------------------------------------------------------------
-# Campaigns: backend threads through the spec to every worker
+# Campaigns: the spec keeps its backend field, fixed to "numpy"
 
 
 def test_campaign_spec_rejects_unknown_backend():
-    spec = CampaignSpec(n=8, cycles=4, design="counter", backend="fortran")
-    with pytest.raises(ClusterError, match="unknown backend"):
-        spec.validate()
+    for backend in ("tensor", "fortran"):
+        spec = CampaignSpec(n=8, cycles=4, design="counter",
+                            executor="graph-fused", backend=backend)
+        with pytest.raises(ClusterError, match="backend layer was removed"):
+            spec.validate()
 
 
 def test_campaign_spec_rejects_backend_on_unfused_executor():
     spec = CampaignSpec(n=8, cycles=4, design="counter",
                         executor="graph", backend="tensor")
-    with pytest.raises(ClusterError, match="graph-fused"):
+    with pytest.raises(ClusterError, match="backend layer was removed"):
         spec.validate()
 
 
@@ -288,36 +209,18 @@ def test_campaign_spec_signature_covers_backend():
     assert a.signature() != b.signature()
 
 
-def test_campaign_tensor_backend_ragged_shards_bit_identical():
-    # n=100 over shard_lanes=24 => shards [0,24)..[96,100), the last one
-    # ragged.  The merged tensor-backend campaign must equal the numpy
-    # one lane for lane.
-    bundle = get_design("counter")
-    n, cycles, seed = 100, 30, 2
-    base = dict(n=n, cycles=cycles, design="counter", seed=seed,
-                executor="graph-fused", watch=bundle.watch)
-    ref = run_campaign(CampaignSpec(**base, backend="numpy"),
-                       workers=0, shard_lanes=24)
-    got = run_campaign(CampaignSpec(**base, backend="tensor"),
-                       workers=0, shard_lanes=24)
-    assert set(ref.outputs) == set(got.outputs)
-    for name in ref.outputs:
-        assert ref.outputs[name].shape[-1] == n
-        np.testing.assert_array_equal(ref.outputs[name], got.outputs[name],
-                                      err_msg=name)
-
-
-# ---------------------------------------------------------------------------
-# Verifier integration
-
-
-def test_verify_model_backend_clean():
-    model = _model(COUNTER_V, "counter")
-    report = verify_model(model, backend="tensor")
-    assert report.clean, report.format_text()
-
-
-def test_verify_model_unknown_backend_reports_error():
-    model = _model(COUNTER_V, "counter")
-    report = verify_model(model, backend="fortran")
-    assert any(d.rule_id == "verify-backend" for d in report.errors)
+@pytest.mark.parametrize("design,sig,shard_sig", [
+    ("counter",
+     "0b1380a666df202bc45a8a528356dc58bbee73ddae080db768077e2c71e654a8",
+     "8bbf8c629c76512bac8e31acc95b362fb375b417f05f71c42b041228828cb530"),
+    ("spinal",
+     "0b02da30617ec49c79fcf49200f1ccc5caf7ccd13d2ac1d3637197f64554dc5f",
+     "84e3e09955f4cf05bdc05c6e6a317666bc652dca1e64861d5c140fd183e780bc"),
+])
+def test_default_campaign_signatures_are_stable(design, sig, shard_sig):
+    # Golden values from the last release with the backend layer: result
+    # stores and durable job records keyed by these stay hits.
+    spec = CampaignSpec(n=64, cycles=16, design=design)
+    spec.validate()
+    assert spec.signature() == sig
+    assert spec.shard_signature(ShardSpec(id=1, lo=16, hi=32)) == shard_sig

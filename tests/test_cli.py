@@ -182,40 +182,3 @@ class TestMemoryLoad:
         assert main(["simulate", counter_v, "--top", "counter", "-n", "2",
                      "-c", "2", "--load", "oops"]) == 2
         assert "NAME=FILE" in capsys.readouterr().err
-
-
-class TestBackendFlag:
-    def test_run_tensor_backend(self, capsys):
-        assert main(["run", "counter", "-n", "16", "-c", "20",
-                     "--backend", "tensor"]) == 0
-        out = capsys.readouterr().out
-        assert "backend=tensor" in out
-        assert "count" in out
-
-    def test_simulate_tensor_backend(self, counter_v, capsys):
-        assert main(["simulate", counter_v, "--top", "counter",
-                     "-n", "4", "-c", "20", "--backend", "tensor"]) == 0
-        assert "count" in capsys.readouterr().out
-
-    def test_stats_json_reports_backends(self, counter_v, capsys):
-        import json
-
-        assert main(["stats", counter_v, "--top", "counter", "--json",
-                     "--backend", "tensor"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["active_backend"] == "tensor"
-        names = {b["name"] for b in payload["backends"]}
-        assert {"numpy", "tensor", "numba", "cupy"} <= names
-        by_name = {b["name"]: b for b in payload["backends"]}
-        assert by_name["numpy"]["available"] is True
-        assert by_name["tensor"]["available"] is True
-
-    def test_verify_reports_backend(self, counter_v, capsys):
-        assert main(["verify", counter_v, "--top", "counter",
-                     "--backend", "tensor"]) == 0
-        assert "backend under verification: tensor" in capsys.readouterr().out
-
-    def test_run_rejects_groups_with_non_numpy_backend(self, capsys):
-        assert main(["run", "counter", "-n", "16", "-c", "20",
-                     "--backend", "tensor", "--groups", "2"]) == 2
-        assert "numpy backend" in capsys.readouterr().err

@@ -192,6 +192,24 @@ def test_fused_campaign_checkpoint_resume(tmp_path):
                                       second.outputs[name])
 
 
+def test_fused_campaign_ragged_shards_match_graph():
+    # n=100 over shard_lanes=24 => shards [0,24)..[96,100), the last one
+    # ragged (and not a multiple of the 64-lane pack word).  The merged
+    # fused campaign must equal the graph one lane for lane.
+    bundle = get_design("counter")
+    base = dict(n=100, cycles=30, design="counter", seed=2,
+                watch=bundle.watch)
+    ref = run_campaign(CampaignSpec(**base, executor="graph"),
+                       workers=0, shard_lanes=24)
+    got = run_campaign(CampaignSpec(**base, executor="graph-fused"),
+                       workers=0, shard_lanes=24)
+    assert set(ref.outputs) == set(got.outputs)
+    for name in ref.outputs:
+        assert ref.outputs[name].shape[-1] == 100
+        np.testing.assert_array_equal(ref.outputs[name], got.outputs[name],
+                                      err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # mem_read aliasing contract (the hot-path bug this PR fixes)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.codegen import transpile
+from repro.core.codegen import KernelCodegen, transpile
 from repro.core.memory import DeviceArrays
 from repro.core.simulator import BatchSimulator, make_executor
 from repro.gpu.device import SimulatedDevice
@@ -112,12 +112,23 @@ class TestExecutorFactory:
         fused = make_executor(adder_model, device, "graph-fused")
         assert isinstance(fused, FusedProgramExecutor)
         assert fused.wants_packed and fused.layout.packed
-        inlined = make_executor(adder_model, device, "graph-inlined")
-        assert isinstance(inlined, CudaGraphExecutor) and inlined.fused
 
     def test_unknown_kind(self, adder_model):
         with pytest.raises(SimulationError):
             make_executor(adder_model, SimulatedDevice(), "nope")
+
+    @pytest.mark.parametrize("kind", ["graph-inlined", "inlined"])
+    def test_graph_inlined_is_retired(self, adder_model, kind):
+        with pytest.raises(SimulationError, match="unknown executor"):
+            make_executor(adder_model, SimulatedDevice(), kind)
+
+    def test_kernel_module_has_no_whole_graph_copies(self, adder_model):
+        # The per-task module is the graph executor's only input; the
+        # fused engine compiles its own flat programs.
+        source = KernelCodegen(adder_model.taskgraph).generate_source()
+        assert "comb_fused" not in source
+        assert "seq_fused" not in source
+        assert "def task_0(" in source
 
 
 class TestFusedExecution:

@@ -256,6 +256,32 @@ class TestProtocol:
         decoded["q"][0, 0] += 1
         assert outputs_digest(decoded) != outputs_digest(outputs)
 
+    def test_outputs_digest_fixed_width_bytes_pinned(self):
+        # Fixed-width outputs hash their raw buffer; pinning the value
+        # keeps existing spinal/counter digests byte-identical.
+        outputs = {
+            "q": np.arange(8, dtype=np.uint64).reshape(2, 4),
+            "ov": np.array([0, 1], dtype=np.uint8),
+        }
+        assert outputs_digest(outputs) == (
+            "4ff2fd657b1c8557da864a5e5232c7ecb8bfa7ded516828c9400c4b8c3906e0d"
+        )
+
+    def test_outputs_digest_hashes_wide_values_by_content(self):
+        # Outputs wider than 64 bits are object arrays of Python ints.
+        # Equal values held by distinct int objects must digest equal.
+        def wide(extra=0):
+            return {"acc": np.array(
+                [(1 << 70) + 1 + i + extra * (i == 2) for i in range(4)],
+                dtype=object,
+            )}
+
+        assert outputs_digest(wide()) == outputs_digest(wide())
+        assert outputs_digest(wide()) != outputs_digest(wide(extra=1))
+        assert outputs_digest(wide()) == outputs_digest(
+            decode_outputs(encode_outputs(wide()))
+        )
+
     def test_job_record_roundtrip(self):
         rec = JobRecord(id="j000001", tenant="t", weight=2.0,
                         spec=spec_to_dict(_spec()), state="done",
