@@ -18,7 +18,9 @@ Each macro task becomes one generated function
 mirroring Listing 3: every access is a contiguous batch slice at
 ``offset*N``, all arithmetic is uint64 with context-width masking, and the
 semantics match :func:`repro.baselines.reference.eval_expr` op for op
-(the differential test suite enforces this).
+(the differential test suite enforces this).  The expression and store
+decisions come from the lowering walk of :mod:`repro.core.lowering`;
+:class:`ExprCodegen` renders its ops as numpy text.
 """
 
 from __future__ import annotations
@@ -34,17 +36,15 @@ import numpy as np
 
 from repro.core.annotate import render_header
 from repro.core.indexmap import IndexMapper, PackedIndexMapper
+from repro.core.lowering import _CMP, BatchOpWalk, IrStore, _limbs
 from repro.core.memory import PACKED_POOL, MemoryLayout
 from repro.partition.merge import partition
 from repro.partition.taskgraph import TaskGraph
 from repro.partition.weights import WeightVector
 from repro.rtlir.graph import NodeKind, RtlGraph, RtlNode
 from repro.utils import bitvec as bv
-from repro.utils.errors import SimulationError, UnsupportedFeatureError
+from repro.utils.errors import SimulationError
 from repro.verilog import ast_nodes as A
-
-_CMP = {"==": "==", "===": "==", "!=": "!=", "!==": "!=",
-        "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 # Native-dtype emission tables (pool index order: var8..var64).
 _NATIVE_DT = ("u8", "u16", "u32", "u64")
@@ -110,262 +110,118 @@ def compile_source(source: str, top: str, tag: str = "") -> CodeType:
     return code
 
 
-def _limbs(width: int) -> int:
-    """Representation limb count: 1 for <=64 bits, else ceil(width/64)."""
-    return 1 if width <= 64 else (width + 63) // 64
+class ExprCodegen(BatchOpWalk[str]):
+    """The lowering walk rendered as numpy source text.
 
-
-class ExprCodegen:
-    """Expression-to-source translation (uint64 compute, ctx masking).
-
-    Representation rule: an emitted expression is a (N,) uint64 array when
-    its context width fits one limb, and a (L, N) little-endian limb
-    matrix otherwise (L = ceil(ctx/64)); the wide ops live in
-    :mod:`repro.utils.widevec` (Verilator's VL_WIDE analog).
+    Every op of :class:`~repro.core.lowering.BatchOpWalk` becomes a
+    uint64 expression with context-width masking; the wide ops live in
+    :mod:`repro.utils.widevec` (Verilator's VL_WIDE analog) and pool
+    accesses come from the :class:`~repro.core.indexmap.IndexMapper`.
     """
 
     def __init__(self, mapper: IndexMapper, graph: RtlGraph):
+        super().__init__(mapper.layout, graph)
         self.mapper = mapper
-        self.graph = graph
-        self.design = graph.design
 
-    # -- public entry points -------------------------------------------------
+    #: Ops whose numpy text is a fixed template over the args ``x``,
+    #: ``y`` and the op's attrs; :meth:`op` writes the rest out.
+    _TEMPLATES = {
+        "wide_extend": "wv.extend({x}, {limbs}, N)",
+        "to_bool_wide": "wv.nonzero({x})",
+        "to_amount_wide": "wv.saturate_narrow({x})",
+        "to_narrow_wide": "wv.narrow({x})",
+        "shl_or": "((({x}) << u64({shift})) | ({y}))",
+        "wide_shl_or": "(wv.shl_const({x}, {shift}) | {y})",
+        "bit_index": "(bvb.b_shr({x}, {y}) & u64(1))",
+        "wide_bit_index": "(wv.narrow(wv.shr({x}, {y})) & u64(1))",
+        "dyn_part": "(bvb.b_shr({x}, {y}) & u64({mask}))",
+        "wide_dyn_narrow": "(wv.narrow(wv.shr({x}, {y})) & u64({mask}))",
+        "wide_dyn_wide": "wv.mask_width(wv.shr({x}, {y}), {width})",
+        "not_bool": "(({x}) == 0).astype(u64)",
+        "bnot": "((~({x})) & u64({mask}))",
+        "neg": "((u64(0) - ({x})) & u64({mask}))",
+        "wide_bnot": "wv.mask_width(wv.bit_not({x}), {width})",
+        "wide_neg": "wv.mask_width(wv.neg({x}), {width})",
+    }
 
-    def emit(self, e: A.Expr) -> str:
-        """Emit ``e`` at its context representation."""
-        code, limbs = self._value(e)
-        want = _limbs(e.ctx_width)
-        if want == limbs:
-            return code
-        if want > 1:
-            return f"wv.extend({code}, {want}, N)"
-        raise SimulationError(  # pragma: no cover - ctx >= width by pass
-            f"cannot narrow a wide value to ctx {e.ctx_width}"
-        )
-
-    def emit_bool(self, e: A.Expr) -> str:
-        """(N,) truthiness of ``e`` (for conditions/guards)."""
-        code, limbs = self._value(e)
-        return code if limbs == 1 else f"wv.nonzero({code})"
-
-    def emit_amount(self, e: A.Expr) -> str:
-        """(N,) shift/address amount; wide amounts saturate."""
-        code, limbs = self._value(e)
-        return code if limbs == 1 else f"wv.saturate_narrow({code})"
-
-    def emit_narrow(self, e: A.Expr) -> str:
-        """(N,) low-64-bit value of ``e`` (for <=64-bit stores)."""
-        code = self.emit(e)
-        return code if _limbs(e.ctx_width) == 1 else f"wv.narrow({code})"
-
-    # -- dispatch (returns (code, repr_limbs)) ----------------------------------
-
-    def _value(self, e: A.Expr):
-        if isinstance(e, A.Number):
-            L = _limbs(e.ctx_width)
-            if L == 1:
-                return f"u64({e.value & ((1 << 64) - 1)})", 1
-            return f"wv.from_const({e.value}, {L}, N)", L
-        if isinstance(e, A.Ident):
-            return self._load(e.name)
-        if isinstance(e, A.Unary):
-            return self._unary(e)
-        if isinstance(e, A.Binary):
-            return self._binary(e)
-        if isinstance(e, A.Ternary):
-            c = self.emit_bool(e.cond)
-            t = self.emit(e.then)
-            f = self.emit(e.other)
-            L = _limbs(e.ctx_width)
-            if L == 1:
-                return f"np.where(({c}) != 0, {t}, {f})", 1
-            return f"wv.mux({c}, {t}, {f})", L
-        if isinstance(e, A.Concat):
-            return self._concat([(p, p.width) for p in e.parts], e.width)
-        if isinstance(e, A.Repeat):
-            count = getattr(e, "_count_i")
-            return self._concat(
-                [(e.value, e.value.width)] * count, e.width
-            )
-        if isinstance(e, A.Index):
-            idx = self.emit_amount(e.index)
-            if e.is_memory:
-                return self.mapper.mem_read_call(e.base, idx), 1
-            base, base_limbs = self._load(e.base)
-            if base_limbs == 1:
-                return f"(bvb.b_shr({base}, {idx}) & u64(1))", 1
-            return f"(wv.narrow(wv.shr({base}, {idx})) & u64(1))", 1
-        if isinstance(e, A.PartSelect):
-            lsb = getattr(e, "_lsb_i")
-            m = bv.mask(e.width)
-            base, base_limbs = self._load(e.base)
-            if base_limbs == 1:
-                if lsb == 0:
-                    return f"(({base}) & u64({m}))", 1
-                return f"((({base}) >> u64({lsb})) & u64({m}))", 1
-            inner = f"wv.shr_const({base}, {lsb})" if lsb else base
-            if e.width <= 64:
-                return f"(wv.narrow({inner}) & u64({m}))", 1
-            L = _limbs(e.width)
-            return f"wv.mask_width({inner}, {e.width})", L
-        if isinstance(e, A.IndexedPartSelect):
-            w = getattr(e, "_width_i")
-            sig_lsb = getattr(e, "_base_lsb_i", 0)
-            m = bv.mask(min(w, 64)) if w <= 64 else bv.mask(w)
-            start = self.emit_amount(e.start)
-            shift_back = (w - 1 if e.descending else 0) + sig_lsb
-            pos = f"(({start}) - u64({shift_back}))" if shift_back else f"({start})"
-            base, base_limbs = self._load(e.base)
-            if base_limbs == 1:
-                return f"(bvb.b_shr({base}, {pos}) & u64({m}))", 1
-            inner = f"wv.shr({base}, {pos})"
-            if w <= 64:
-                return f"(wv.narrow({inner}) & u64({m}))", 1
-            return f"wv.mask_width({inner}, {w})", _limbs(w)
-        raise SimulationError(f"cannot generate code for {type(e).__name__}")
-
-    def _load(self, name: str):
-        slot = self.mapper.layout.slot(name)
-        if slot.limbs == 1:
-            return self.mapper.load(name), 1
-        lo, hi = slot.offset, slot.offset + slot.limbs
-        return f"P64[{lo}*N:{hi}*N].reshape({slot.limbs}, N)", slot.limbs
-
-    def _concat(self, parts, total_width: int):
-        """Concat/replicate ``parts`` (MSB first) into ``total_width`` bits."""
-        L = _limbs(total_width)
-        if L == 1:
-            acc = self.emit(parts[0][0])
-            for p, w in parts[1:]:
-                acc = f"((({acc}) << u64({w})) | ({self.emit(p)}))"
-            return acc, 1
-        def as_limbs(p: A.Expr) -> str:
-            # Constants become limb matrices directly (a scalar u64 has no
-            # lane axis for extend to replicate).
-            if isinstance(p, A.Number):
-                return f"wv.from_const({p.value}, {L}, N)"
-            pc, _ = self._value(p)
-            return f"wv.extend({pc}, {L}, N)"
-
-        acc = as_limbs(parts[0][0])
-        for p, w in parts[1:]:
-            acc = f"(wv.shl_const({acc}, {w}) | {as_limbs(p)})"
-        return acc, L
-
-    def _unary(self, e: A.Unary):
-        L = _limbs(e.ctx_width)
-        if e.op == "!":
-            return f"(({self.emit_bool(e.operand)}) == 0).astype(u64)", 1
-        if e.op in ("~", "-", "+"):
-            x = self.emit(e.operand)
-            if L == 1:
-                m = bv.mask(min(e.ctx_width, 64))
-                if e.op == "~":
-                    return f"((~({x})) & u64({m}))", 1
-                if e.op == "-":
-                    return f"((u64(0) - ({x})) & u64({m}))", 1
-                return x, 1
-            if e.op == "~":
-                return f"wv.mask_width(wv.bit_not({x}), {e.ctx_width})", L
-            if e.op == "-":
-                return f"wv.mask_width(wv.neg({x}), {e.ctx_width})", L
-            return x, L
-        # Reductions: operand at its self-determined representation.
-        x, xl = self._value(e.operand)
-        w = e.operand.width
-        if xl == 1:
-            table = {
-                "&": f"bvb.b_red_and({x}, {w})",
-                "|": f"bvb.b_red_or({x}, {w})",
-                "^": f"bvb.b_red_xor({x}, {w})",
-                "~&": f"(u64(1) - bvb.b_red_and({x}, {w}))",
-                "~|": f"(u64(1) - bvb.b_red_or({x}, {w}))",
-                "~^": f"(u64(1) - bvb.b_red_xor({x}, {w}))",
-            }
-        else:
-            table = {
-                "&": f"wv.red_and({x}, {w})",
-                "|": f"wv.red_or({x})",
-                "^": f"wv.red_xor({x})",
-                "~&": f"(u64(1) - wv.red_and({x}, {w}))",
-                "~|": f"(u64(1) - wv.red_or({x}))",
-                "~^": f"(u64(1) - wv.red_xor({x}))",
-            }
-        if e.op in table:
-            return table[e.op], 1
-        raise SimulationError(f"unknown unary op {e.op!r}")
-
-    def _binary(self, e: A.Binary):
-        op = e.op
-        L = _limbs(e.ctx_width)
-        if op in _CMP or op in ("&&", "||"):
-            if op == "&&":
-                l = self.emit_bool(e.left)
-                r = self.emit_bool(e.right)
-                return f"(((({l}) != 0) & (({r}) != 0))).astype(u64)", 1
-            if op == "||":
-                l = self.emit_bool(e.left)
-                r = self.emit_bool(e.right)
-                return f"(((({l}) != 0) | (({r}) != 0))).astype(u64)", 1
-            # Comparison operands share a self-determined context.
-            wide = _limbs(e.left.ctx_width) > 1 or _limbs(e.right.ctx_width) > 1
-            l = self.emit(e.left)
-            r = self.emit(e.right)
-            if not wide:
-                return f"(({l}) {_CMP[op]} ({r})).astype(u64)", 1
-            fn = {"==": "eq", "===": "eq", "!=": "ne", "!==": "ne",
-                  "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}[op]
-            return f"wv.{fn}({l}, {r})", 1
-
-        if op in ("<<", "<<<", ">>", ">>>"):
-            l = self.emit(e.left)
-            r = self.emit_amount(e.right)
-            if L == 1:
-                m = bv.mask(min(e.ctx_width, 64))
-                if op in ("<<", "<<<"):
-                    return f"(bvb.b_shl({l}, {r}) & u64({m}))", 1
-                return f"bvb.b_shr({l}, {r})", 1
-            if op in ("<<", "<<<"):
-                return f"wv.mask_width(wv.shl({l}, {r}), {e.ctx_width})", L
-            return f"wv.shr({l}, {r})", L
-
-        l = self.emit(e.left)
-        r = self.emit(e.right)
-        if L == 1:
-            m = bv.mask(min(e.ctx_width, 64))
-            table = {
-                "+": f"((({l}) + ({r})) & u64({m}))",
-                "-": f"((({l}) - ({r})) & u64({m}))",
-                "*": f"((({l}) * ({r})) & u64({m}))",
-                "/": f"bvb.b_div({l}, {r})",
-                "%": f"bvb.b_mod({l}, {r})",
-                "**": f"(bvb.b_pow({l}, {r}) & u64({m}))",
-                "&": f"(({l}) & ({r}))",
-                "|": f"(({l}) | ({r}))",
-                "^": f"(({l}) ^ ({r}))",
-                "~^": f"((~(({l}) ^ ({r}))) & u64({m}))",
-                "^~": f"((~(({l}) ^ ({r}))) & u64({m}))",
-            }
-            if op in table:
-                return table[op], 1
-            raise SimulationError(f"unknown binary op {op!r}")
-        if op in ("*", "/", "%", "**"):
-            raise UnsupportedFeatureError(
-                f"operator {op!r} is not supported on values wider than 64 "
-                f"bits (context width {e.ctx_width})"
-            )
-        table = {
-            "+": f"wv.mask_width(wv.add({l}, {r}), {e.ctx_width})",
-            "-": f"wv.mask_width(wv.sub({l}, {r}), {e.ctx_width})",
-            "&": f"(({l}) & ({r}))",
-            "|": f"(({l}) | ({r}))",
-            "^": f"(({l}) ^ ({r}))",
-            "~^": f"wv.mask_width(wv.bit_not(({l}) ^ ({r})), {e.ctx_width})",
-            "^~": f"wv.mask_width(wv.bit_not(({l}) ^ ({r})), {e.ctx_width})",
-        }
-        if op in table:
-            return table[op], L
-        raise SimulationError(f"unknown binary op {op!r}")
+    def op(self, opcode: str, args: Tuple[str, ...], attrs: Dict[str, object],
+           limbs: int) -> str:
+        """The numpy text of one batch op: the only place it is written."""
+        a = attrs
+        if opcode == "load":
+            return self.mapper.load(a["name"])
+        if opcode == "const":
+            if limbs == 1:
+                return f"u64({a['value'] & ((1 << 64) - 1)})"
+            return f"wv.from_const({a['value']}, {limbs}, N)"
+        x = args[0]
+        y = args[1] if len(args) > 1 else ""
+        template = self._TEMPLATES.get(opcode)
+        if template is not None:
+            return template.format(x=x, y=y, **a)
+        if opcode == "mem_gather":
+            return self.mapper.mem_read_call(a["mem"], x)
+        if opcode == "mux":
+            if limbs == 1:
+                return f"np.where(({x}) != 0, {y}, {args[2]})"
+            return f"wv.mux({x}, {y}, {args[2]})"
+        if opcode == "part":
+            if a["lsb"] == 0:
+                return f"(({x}) & u64({a['mask']}))"
+            return f"((({x}) >> u64({a['lsb']})) & u64({a['mask']}))"
+        if opcode in ("wide_part_narrow", "wide_part_wide"):
+            inner = f"wv.shr_const({x}, {a['lsb']})" if a["lsb"] else x
+            if opcode == "wide_part_narrow":
+                return f"(wv.narrow({inner}) & u64({a['mask']}))"
+            return f"wv.mask_width({inner}, {a['width']})"
+        if opcode == "amount_bias":
+            return f"(({x}) - u64({a['bias']}))" if a["bias"] else f"({x})"
+        if opcode == "reduce":
+            fn = {"&": "and", "|": "or", "^": "xor"}[a["op"][-1]]
+            if not a["wide"]:
+                call = f"bvb.b_red_{fn}({x}, {a['width']})"
+            elif fn == "and":
+                call = f"wv.red_and({x}, {a['width']})"
+            else:
+                call = f"wv.red_{fn}({x})"
+            return f"(u64(1) - {call})" if a["op"][0] == "~" else call
+        if opcode == "logic":
+            sym = "&" if a["op"] == "&&" else "|"
+            return f"(((({x}) != 0) {sym} (({y}) != 0))).astype(u64)"
+        if opcode == "compare":
+            if not a["wide"]:
+                return f"(({x}) {_CMP[a['op']]} ({y})).astype(u64)"
+            fn = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt",
+                  ">=": "ge"}[_CMP[a["op"]]]
+            return f"wv.{fn}({x}, {y})"
+        if opcode == "shift":
+            left = a["op"] == "<<"
+            if not a["wide"]:
+                if left:
+                    return f"(bvb.b_shl({x}, {y}) & u64({a['mask']}))"
+                return f"bvb.b_shr({x}, {y})"
+            if left:
+                return f"wv.mask_width(wv.shl({x}, {y}), {a['width']})"
+            return f"wv.shr({x}, {y})"
+        if opcode == "arith":
+            op = a["op"]
+            if op in ("&", "|", "^"):
+                return f"(({x}) {op} ({y}))"
+            if a["wide"]:
+                if op in ("~^", "^~"):
+                    body = f"wv.bit_not(({x}) ^ ({y}))"
+                else:
+                    body = f"wv.{'add' if op == '+' else 'sub'}({x}, {y})"
+                return f"wv.mask_width({body}, {a['width']})"
+            m = a["mask"]
+            if op in ("/", "%"):
+                return f"bvb.b_{'div' if op == '/' else 'mod'}({x}, {y})"
+            if op == "**":
+                return f"(bvb.b_pow({x}, {y}) & u64({m}))"
+            if op in ("~^", "^~"):
+                return f"((~(({x}) ^ ({y}))) & u64({m}))"
+            return f"((({x}) {op} ({y})) & u64({m}))"
+        raise SimulationError(f"no numpy rendering for op {opcode!r}")
 
 
 class FusedExprCodegen(ExprCodegen):
@@ -391,7 +247,6 @@ class FusedExprCodegen(ExprCodegen):
 
     def __init__(self, mapper: IndexMapper, graph: RtlGraph):
         super().__init__(mapper, graph)
-        self.layout = mapper.layout
         self._fold_cache: Dict[int, Optional[int]] = {}
         # Hoisted-subexpression statements (mask temporaries for the
         # branchless muxes below).  The program generator drains these
@@ -481,9 +336,7 @@ class FusedExprCodegen(ExprCodegen):
             c = self._fold(e)
             if c is not None:
                 L = _limbs(e.ctx_width)
-                if L == 1:
-                    return f"u64({c & ((1 << 64) - 1)})", 1
-                return f"wv.from_const({c}, {L}, N)", L
+                return self.op("const", (), {"value": c}, L), L
         if isinstance(e, A.Ternary) and _limbs(e.ctx_width) == 1:
             cf = self._fold(e.cond)
             if cf is not None:
@@ -1101,11 +954,7 @@ def compute_task_accesses(
                     add(writes, slot.pool, slot.offset, slot.limbs)
             else:
                 s = layout.slot(node.target)
-                lo = (
-                    s.next_offset
-                    if node.kind is NodeKind.SEQ and s.next_offset is not None
-                    else s.offset
-                )
+                lo = s.store_offset(node.kind is NodeKind.SEQ)
                 add(writes, s.pool, lo, s.limbs)
 
         out[task.tid] = TaskAccess(
@@ -1166,18 +1015,10 @@ class CompiledModel:
         return list(self.taskgraph.comb_topo)
 
     def seq_schedule(self, clock: str, edge: str) -> List[int]:
-        return [
-            t.tid
-            for t in self.taskgraph.tasks
-            if t.kind is NodeKind.SEQ and t.clock == clock and t.edge == edge
-        ]
+        return self.taskgraph.seq_domains().get((clock, edge), [])
 
     def clock_domains(self) -> List[Tuple[str, str]]:
-        seen: List[Tuple[str, str]] = []
-        for t in self.taskgraph.tasks:
-            if t.kind is NodeKind.SEQ and (t.clock, t.edge) not in seen:
-                seen.append((t.clock, t.edge))
-        return seen
+        return list(self.taskgraph.seq_domains())
 
 
 class KernelCodegen:
@@ -1192,50 +1033,30 @@ class KernelCodegen:
 
     # -- statement generation ---------------------------------------------------
 
-    def _store(self, target: str, expr: A.Expr, shadow: bool) -> str:
-        """Assignment statement for a full-signal store (COMB/SEQ)."""
-        slot = self.layout.slot(target)
-        if slot.limbs == 1:
-            m = bv.mask(slot.width)
-            return (
-                f"{self.mapper.store_target(target, shadow=shadow)} = "
-                f"({self.expr.emit_narrow(expr)}) & u64({m})"
-            )
-        off = slot.next_offset if shadow else slot.offset
-        lo, hi = off, off + slot.limbs
-        return (
-            f"P64[{lo}*N:{hi}*N] = "
-            f"wv.mask_width({self.expr.emit(expr)}, {slot.width}).reshape(-1)"
-        )
+    def _store_stmt(self, st: IrStore[str]) -> str:
+        """Assignment statement for one store of the lowering walk."""
+        tgt = self.mapper.slice_at(st.pool, st.offset, st.limbs)
+        if st.kind == "memw_cond":
+            return f"{tgt} = (({st.value}) != 0).astype(np.uint8)"
+        if st.kind == "memw_addr":
+            return f"{tgt} = {st.value}"
+        if st.packed:
+            return f"{tgt} = pk.pack({st.value}, N)"
+        if st.limbs == 1:
+            return f"{tgt} = ({st.value}) & u64({bv.mask(st.width)})"
+        return f"{tgt} = wv.mask_width({st.value}, {st.width}).reshape(-1)"
+
+    def _store_stmts(self, node: RtlNode) -> List[str]:
+        return [self._store_stmt(st) for st in self.expr.lower_stores(node)]
 
     def _node_stmts(self, node: RtlNode) -> List[str]:
-        out: List[str] = []
         if node.kind is NodeKind.COMB:
-            out.append(f"# {node.target} = ...;  {self.mapper.comment_for(node.target)}")
-            out.append(self._store(node.target, node.expr, shadow=False))
+            comment = f"# {node.target} = ...;  {self.mapper.comment_for(node.target)}"
         elif node.kind is NodeKind.SEQ:
-            out.append(f"# {node.target} <= ...;  (shadow slot)")
-            out.append(self._store(node.target, node.expr, shadow=True))
-        elif node.kind is NodeKind.MEMW:
-            sc = self.layout.scratch[node.nid]
-            mem = self.graph.design.memories[node.target]
-            m = bv.mask(mem.width)
-            out.append(f"# if (cond) {node.target}[addr] <= data;  (scratch)")
-            out.append(
-                f"{self.mapper.slice_of(sc.cond)} = "
-                f"(({self.expr.emit_bool(node.cond)}) != 0).astype(np.uint8)"
-            )
-            out.append(
-                f"{self.mapper.slice_of(sc.addr)} = "
-                f"{self.expr.emit_amount(node.addr)}"
-            )
-            out.append(
-                f"{self.mapper.slice_of(sc.data)} = "
-                f"({self.expr.emit_narrow(node.expr)}) & u64({m})"
-            )
-        else:  # pragma: no cover
-            raise SimulationError(f"unknown node kind {node.kind}")
-        return out
+            comment = f"# {node.target} <= ...;  (shadow slot)"
+        else:
+            comment = f"# if (cond) {node.target}[addr] <= data;  (scratch)"
+        return [comment] + self._store_stmts(node)
 
     def _task_fn(self, tid: int) -> List[str]:
         task = self.tg.tasks[tid]
@@ -1278,10 +1099,6 @@ class KernelCodegen:
         body.append(f"TASKS = [{tasklist}]")
         return "\n".join(header + [""] + body) + "\n"
 
-    def _mem_write_bindings(self) -> List[MemWriteBinding]:
-        """Commit-time bindings for this codegen's layout (program order)."""
-        return mem_write_bindings(self.graph, self.layout)
-
     def compile(self) -> CompiledModel:
         t0 = time.perf_counter()
         source = self.generate_source()
@@ -1291,7 +1108,7 @@ class KernelCodegen:
         elapsed = time.perf_counter() - t0
 
         task_fns = {t.tid: ns[f"task_{t.tid}"] for t in self.tg.tasks}
-        mem_writes = self._mem_write_bindings()
+        mem_writes = mem_write_bindings(self.graph, self.layout)
 
         return CompiledModel(
             graph=self.graph,
@@ -1303,6 +1120,17 @@ class KernelCodegen:
             mem_writes=mem_writes,
             transpile_seconds=elapsed,
         )
+
+
+def program_units(
+    taskgraph: TaskGraph,
+) -> List[Tuple[str, Optional[Tuple[str, str]], List[int]]]:
+    """The fused execution units as ``(name, domain, tids)``, in program
+    order: the whole comb phase, then one unit per sequential domain."""
+    units = [("fused_comb", None, list(taskgraph.comb_topo))]
+    for i, (dom, tids) in enumerate(taskgraph.seq_domains().items()):
+        units.append((f"fused_seq_{i}", dom, tids))
+    return units
 
 
 @dataclass
@@ -1368,8 +1196,15 @@ class FusedProgramCodegen(KernelCodegen):
 
     # -- statement generation (packed/native-aware stores) ---------------------
 
-    def _store(self, target: str, expr: A.Expr, shadow: bool) -> str:
-        slot = self.layout.slot(target)
+    def _store_stmts(self, node: RtlNode) -> List[str]:
+        stmt = None if node.kind is NodeKind.MEMW else self._tiered_store(node)
+        return [stmt] if stmt is not None else super()._store_stmts(node)
+
+    def _tiered_store(self, node: RtlNode) -> Optional[str]:
+        """A full-signal store through the packed or native tier, or None
+        to store through the lowering walk's uint64 tier."""
+        expr, shadow = node.expr, node.kind is NodeKind.SEQ
+        slot = self.layout.slot(node.target)
         if slot.pool == PACKED_POOL:
             tgt = self.mapper.slice_of(slot, shadow=shadow)
             c = self.expr._fold(expr)
@@ -1387,7 +1222,7 @@ class FusedProgramCodegen(KernelCodegen):
                 self.expr._record("packed-store", expr, mode="native")
                 return f"{tgt} = pk.pack({nat[0]}, N)"
             self.expr._record("packed-store", expr, mode="fallback")
-            return f"{tgt} = pk.pack({self.expr.emit_narrow(expr)}, N)"
+            return None
         if slot.limbs == 1:
             nat = self.expr.emit_native(expr, slot.width)
             if nat is not None:
@@ -1403,9 +1238,9 @@ class FusedProgramCodegen(KernelCodegen):
                 self.expr._record("demand-store", expr, demand=slot.width,
                                   bits=bits, masked=masked)
                 return (
-                    f"{self.mapper.store_target(target, shadow=shadow)} = {code}"
+                    f"{self.mapper.slice_of(slot, shadow=shadow)} = {code}"
                 )
-        return super()._store(target, expr, shadow)
+        return None
 
     # -- program generation ----------------------------------------------------
 
@@ -1456,21 +1291,9 @@ class FusedProgramCodegen(KernelCodegen):
         ]
         header.extend(render_header(self.tg))
         body: List[str] = []
-        body.extend(
-            self._program_fn("fused_comb", list(self.tg.comb_topo), "comb phase")
-        )
-        body.append("")
-        domains: Dict[Tuple[str, str], List[int]] = {}
-        for t in self.tg.tasks:
-            if t.kind is NodeKind.SEQ:
-                domains.setdefault((t.clock, t.edge), []).append(t.tid)
-        self._domains = domains
-        for i, ((clock, edge), tids) in enumerate(domains.items()):
-            body.extend(
-                self._program_fn(
-                    f"fused_seq_{i}", tids, f"{edge} {clock} domain"
-                )
-            )
+        for name, dom, tids in program_units(self.tg):
+            title = f"{dom[1]} {dom[0]} domain" if dom else "comb phase"
+            body.extend(self._program_fn(name, tids, title))
             body.append("")
         return "\n".join(header + [""] + body) + "\n"
 
@@ -1481,30 +1304,21 @@ class FusedProgramCodegen(KernelCodegen):
         ns: Dict[str, object] = {}
         exec(code, ns)
         elapsed = time.perf_counter() - t0
-        comb = FusedProgram(
-            name="fused_comb",
-            kind="comb",
-            domain=None,
-            fn=ns["fused_comb"],
-            n_nodes=sum(
-                len(self.tg.tasks[t].nodes) for t in self.tg.comb_topo
-            ),
-        )
-        seq = {
-            dom: FusedProgram(
-                name=f"fused_seq_{i}",
-                kind="seq",
+        comb, *seq = (
+            FusedProgram(
+                name=name,
+                kind="seq" if dom else "comb",
                 domain=dom,
-                fn=ns[f"fused_seq_{i}"],
+                fn=ns[name],
                 n_nodes=sum(len(self.tg.tasks[t].nodes) for t in tids),
             )
-            for i, (dom, tids) in enumerate(self._domains.items())
-        }
+            for name, dom, tids in program_units(self.tg)
+        )
         return FusedPrograms(
             layout=self.layout,
             comb=comb,
-            seq=seq,
-            mem_writes=self._mem_write_bindings(),
+            seq={p.domain: p for p in seq},
+            mem_writes=mem_write_bindings(self.graph, self.layout),
             source=source,
             namespace=ns,
             transpile_seconds=elapsed,

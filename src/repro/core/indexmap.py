@@ -16,7 +16,6 @@ variable goes through :func:`repro.utils.packbits.unpack_u64`.
 from __future__ import annotations
 
 from repro.core.memory import PACKED_POOL, MemoryLayout, VarSlot
-from repro.utils.errors import SimulationError
 
 POOL_VARS = ("P8", "P16", "P32", "P64", "P1")
 
@@ -30,16 +29,20 @@ class IndexMapper:
     def pool_var(self, pool: int) -> str:
         return POOL_VARS[pool]
 
+    def slice_at(self, pool: int, offset: int, limbs: int = 1) -> str:
+        """The batch slice of ``limbs`` consecutive offsets in ``pool``."""
+        return f"{self.pool_var(pool)}[{offset}*N:{offset + limbs}*N]"
+
     def slice_of(self, slot: VarSlot, shadow: bool = False) -> str:
         """The writable slice for a variable (optionally its shadow slot)."""
-        off = slot.next_offset if shadow else slot.offset
-        if shadow and slot.next_offset is None:
-            raise SimulationError(f"{slot.name!r} has no shadow slot")
-        return f"{self.pool_var(slot.pool)}[{off}*N:{off + 1}*N]"
+        return self.slice_at(slot.pool, slot.store_offset(shadow), slot.limbs)
 
     def load(self, name: str) -> str:
-        """A uint64 read of a variable's batch slice."""
+        """A uint64 read of a variable's batch slice (``(L, N)`` limbs
+        for a wide variable)."""
         slot = self.layout.slot(name)
+        if slot.limbs > 1:
+            return f"{self.slice_of(slot)}.reshape({slot.limbs}, N)"
         return f"{self.slice_of(slot)}.astype(u64, copy=False)"
 
     def store_target(self, name: str, shadow: bool = False) -> str:
@@ -68,13 +71,10 @@ class PackedIndexMapper(IndexMapper):
     falls through to the byte-per-lane mapping above.
     """
 
-    def slice_of(self, slot: VarSlot, shadow: bool = False) -> str:
-        if slot.pool != PACKED_POOL:
-            return super().slice_of(slot, shadow=shadow)
-        off = slot.next_offset if shadow else slot.offset
-        if shadow and slot.next_offset is None:
-            raise SimulationError(f"{slot.name!r} has no shadow slot")
-        return f"P1[{off}*W:{off + 1}*W]"
+    def slice_at(self, pool: int, offset: int, limbs: int = 1) -> str:
+        if pool != PACKED_POOL:
+            return super().slice_at(pool, offset, limbs)
+        return f"P1[{offset}*W:{offset + 1}*W]"
 
     def load(self, name: str) -> str:
         slot = self.layout.slot(name)

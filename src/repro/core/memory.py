@@ -62,6 +62,15 @@ class VarSlot:
     next_offset: Optional[int] = None  # shadow slot for registers
     limbs: int = 1
 
+    def store_offset(self, shadow: bool) -> int:
+        """Where a store lands: the shadow slot for a register's next
+        value (committed at the clock edge), else the live slot."""
+        if not shadow:
+            return self.offset
+        if self.next_offset is None:
+            raise SimulationError(f"{self.name!r} has no shadow slot")
+        return self.next_offset
+
 
 @dataclass
 class MemSlot:

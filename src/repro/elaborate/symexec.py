@@ -494,8 +494,10 @@ class _Lowerer:
         t: Dict[str, A.Expr],
         e: Dict[str, A.Expr],
     ) -> None:
-        keys = set(t) | set(e)
-        for k in keys:
+        # First-seen order, not set order: the merged env's key order
+        # decides register order and hence the memory layout, which must
+        # not depend on the interpreter's hash seed.
+        for k in dict.fromkeys([*t, *e]):
             tv = t.get(k)
             ev = e.get(k)
             old = base.get(k)

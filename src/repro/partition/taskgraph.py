@@ -9,7 +9,7 @@ sequential tasks per clock domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.rtlir.graph import NodeKind, RtlGraph
 from repro.utils.errors import SimulationError
@@ -108,6 +108,19 @@ class TaskGraph:
             if node.clock is not None:
                 out.discard(node.clock)
         return out
+
+    def seq_domains(self) -> Dict[Tuple[str, str], List[int]]:
+        """Sequential task ids per ``(clock, edge)`` domain.
+
+        Domains appear in the order their first task does, and each
+        domain's tasks in task order: the one ordering every consumer of
+        the execution units (schedules, fused programs, kernel IR) uses.
+        """
+        domains: Dict[Tuple[str, str], List[int]] = {}
+        for t in self.tasks:
+            if t.kind is NodeKind.SEQ:
+                domains.setdefault((t.clock, t.edge), []).append(t.tid)
+        return domains
 
     def task_writes(self, tid: int) -> Set[str]:
         """Signal/memory names task ``tid`` drives."""

@@ -17,11 +17,12 @@ from tests.helpers import assert_batch_matches_reference
 
 # --- random expression generator -------------------------------------------
 
-_BIN_OPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
-            "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
-_UN_OPS = ["~", "-", "!", "&", "|", "^"]
+_BIN_OPS = ["+", "-", "*", "/", "%", "&", "|", "^", "~^", "<<", ">>",
+            "<<<", ">>>", "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
+_UN_OPS = ["~", "-", "!", "&", "|", "^", "~&", "~|", "~^"]
 
-_INPUTS = [("a", 8), ("b", 8), ("c", 16), ("d", 32), ("e", 1), ("f", 100)]
+_INPUTS = [("a", 8), ("b", 8), ("c", 16), ("d", 32), ("e", 1), ("f", 100),
+           ("g", 140)]
 
 
 @st.composite
@@ -40,7 +41,7 @@ def expr_strings(draw, depth=0):
         hi = draw(st.integers(0, w - 1))
         lo = draw(st.integers(0, hi))
         return f"{name}[{hi}:{lo}]"
-    kind = draw(st.integers(0, 3))
+    kind = draw(st.integers(0, 6))
     if kind == 0:
         op = draw(st.sampled_from(_BIN_OPS))
         l = draw(expr_strings(depth + 1))
@@ -55,6 +56,17 @@ def expr_strings(draw, depth=0):
         t = draw(expr_strings(depth + 1))
         f = draw(expr_strings(depth + 1))
         return f"(({c}) ? ({t}) : ({f}))"
+    if kind in (3, 4):
+        # Dynamic bit-select, or a +:/-: part-select at a dynamic start.
+        name, w = draw(st.sampled_from([(n, w) for n, w in _INPUTS if w > 1]))
+        at = draw(expr_strings(depth + 1))
+        if kind == 3:
+            return f"{name}[{at}]"
+        dirn = draw(st.sampled_from(["+:", "-:"]))
+        return f"{name}[{at} {dirn} {draw(st.integers(1, w))}]"
+    if kind == 5:
+        x = draw(expr_strings(depth + 1))
+        return f"{{{draw(st.integers(1, 4))}{{{x}}}}}"
     l = draw(expr_strings(depth + 1))
     r = draw(expr_strings(depth + 1))
     return f"{{{l}, {r}}}"
@@ -72,11 +84,16 @@ def _comb_module(exprs):
 
 class TestRandomCombExpressions:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(expr_strings(), min_size=1, max_size=4), st.integers(0, 2**31))
-    def test_batch_matches_reference(self, exprs, seed):
+    @given(
+        st.lists(expr_strings(), min_size=1, max_size=4),
+        st.integers(0, 2**31),
+        st.sampled_from(["graph", "graph-fused"]),
+    )
+    def test_batch_matches_reference(self, exprs, seed, executor):
         src = _comb_module(exprs)
         try:
-            assert_batch_matches_reference(src, "fuzz", n=16, cycles=4, seed=seed)
+            assert_batch_matches_reference(src, "fuzz", n=16, cycles=4,
+                                           seed=seed, executor=executor)
         except Exception as exc:  # noqa: BLE001
             from repro.utils.errors import UnsupportedFeatureError, WidthError
             # Two rejections are correct behaviour, not fuzz failures:

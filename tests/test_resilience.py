@@ -16,6 +16,7 @@ The contract under test (docs/resilience.md):
   scripted :class:`FaultPlan`, not monkeypatching.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -733,6 +734,65 @@ class TestCheckpointResume:
         assert fresh.cycles_run == 30  # last complete snapshot before death
         out = fresh.run(stim, start_cycle=fresh.cycles_run)
         assert np.array_equal(out["count"], ref_out["count"])
+
+    def test_layout_and_resume_independent_of_hash_seed(self, tmp_path):
+        """Elaboration must not depend on ``PYTHONHASHSEED``.
+
+        Two interpreters with different hash seeds must generate the
+        same kernels and the same memory layout for the bundled designs
+        whose always blocks merge many branch assignments, and a
+        checkpoint written by one must resume in the other, bit-identical
+        to an uninterrupted run.
+        """
+        script = textwrap.dedent("""
+            import hashlib, json, pickle, sys
+            import numpy as np
+            from repro import RTLFlow
+            from repro.core.codegen import KernelCodegen
+            from repro.designs import get_design
+
+            mode, ckpt_path = sys.argv[1], sys.argv[2]
+            report = {}
+            for name in ("spinal", "nvdla", "riscv_mini"):
+                bundle = get_design(name)
+                flow = RTLFlow.from_source(bundle.source, bundle.top)
+                src = KernelCodegen(flow.compile().taskgraph).generate_source()
+                report[name] = [hashlib.sha256(src.encode()).hexdigest(),
+                                flow.simulator(4)._layout_signature()]
+            bundle = get_design("spinal")
+            flow = RTLFlow.from_source(bundle.source, bundle.top)
+            stim = bundle.make_stimulus(8, 24, 3)
+            sim = flow.simulator(8)
+            if mode == "save":
+                sim.run(stim, cycles=12)
+                with open(ckpt_path, "wb") as f:
+                    pickle.dump(sim.save_checkpoint(), f)
+            else:
+                with open(ckpt_path, "rb") as f:
+                    sim.restore_checkpoint(pickle.load(f))
+                got = sim.run(stim, start_cycle=sim.cycles_run)
+                ref = flow.simulator(8).run(stim)
+                report["resumed_equal"] = all(
+                    np.array_equal(got[k], ref[k]) for k in ref)
+            print(json.dumps(report))
+        """)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        ckpt = str(tmp_path / "spinal.pkl")
+        reports = []
+        for seed, mode in (("1", "save"), ("2", "resume")):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(root, "src"), root]
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script, mode, ckpt], env=env,
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(json.loads(proc.stdout))
+        saved, resumed = reports
+        assert resumed.pop("resumed_equal") is True
+        assert saved == resumed
 
 
 # ---------------------------------------------------------------------------
