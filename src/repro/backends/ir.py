@@ -143,9 +143,11 @@ def build_kernel_ir(
     graph = taskgraph.graph
     layout = layout or MemoryLayout.from_graph(graph, pack_bits=True)
 
+    rec = _OpRecorder(layout, graph)  # one walk: its fold memo is shared
+
     def lower(nid: int) -> NodeIr:
         node = graph.nodes[nid]
-        rec = _OpRecorder(layout, graph)
+        rec.ops = []
         stores = rec.lower_stores(node)
         return NodeIr(nid=nid, target=node.target, kind=node.kind.value,
                       ops=rec.ops, stores=stores)

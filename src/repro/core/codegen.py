@@ -169,10 +169,16 @@ class ExprCodegen(BatchOpWalk[str]):
             if a["lsb"] == 0:
                 return f"(({x}) & u64({a['mask']}))"
             return f"((({x}) >> u64({a['lsb']})) & u64({a['mask']}))"
-        if opcode in ("wide_part_narrow", "wide_part_wide"):
+        if opcode == "wide_part_narrow":
+            word, bit = divmod(a["lsb"], 64)
+            if bit + a["mask"].bit_length() <= 64:
+                # The field lies in one limb: read that limb alone.
+                sh = f" >> u64({bit})" if bit else ""
+                return f"((({x})[{word}]{sh}) & u64({a['mask']}))"
+            return (f"(wv.narrow(wv.shr_const({x}, {a['lsb']})) "
+                    f"& u64({a['mask']}))")
+        if opcode == "wide_part_wide":
             inner = f"wv.shr_const({x}, {a['lsb']})" if a["lsb"] else x
-            if opcode == "wide_part_narrow":
-                return f"(wv.narrow({inner}) & u64({a['mask']}))"
             return f"wv.mask_width({inner}, {a['width']})"
         if opcode == "amount_bias":
             return f"(({x}) - u64({a['bias']}))" if a["bias"] else f"({x})"
@@ -203,6 +209,15 @@ class ExprCodegen(BatchOpWalk[str]):
             if left:
                 return f"wv.mask_width(wv.shl({x}, {y}), {a['width']})"
             return f"wv.shr({x}, {y})"
+        if opcode == "shift_const":
+            k = a["amount"]
+            if a["op"] == "<<":
+                if a["wide"]:
+                    return f"wv.mask_width(wv.shl_const({x}, {k}), {a['width']})"
+                return f"((({x}) << u64({k})) & u64({a['mask']}))"
+            if a["wide"]:
+                return f"wv.shr_const({x}, {k})"
+            return f"(({x}) >> u64({k}))"
         if opcode == "arith":
             op = a["op"]
             if op in ("&", "|", "^"):
@@ -240,14 +255,12 @@ class FusedExprCodegen(ExprCodegen):
     concats), with packed operands unpacked at the boundary by the
     :class:`~repro.core.indexmap.PackedIndexMapper`.
 
-    Pure-constant subtrees are folded through ``eval_expr`` once at
-    transpile time (parameterized reset values like ``{W{1'b1}}``
-    otherwise replay a chain of scalar ops every cycle).
+    Every tier reads values known at transpile time through the walk's
+    one memoized fold (:meth:`~repro.core.lowering.BatchOpWalk._fold`).
     """
 
     def __init__(self, mapper: IndexMapper, graph: RtlGraph):
         super().__init__(mapper, graph)
-        self._fold_cache: Dict[int, Optional[int]] = {}
         # Hoisted-subexpression statements (mask temporaries for the
         # branchless muxes below).  The program generator drains these
         # ahead of each node's store statement.
@@ -276,42 +289,6 @@ class FusedExprCodegen(ExprCodegen):
         out, self._prelude = self._prelude, []
         return out
 
-    # -- constant folding -----------------------------------------------------
-
-    def _const_tree(self, e: A.Expr) -> bool:
-        if isinstance(e, A.Number):
-            return True
-        if isinstance(e, A.Unary):
-            return self._const_tree(e.operand)
-        if isinstance(e, A.Binary):
-            # ``**`` is excluded: a huge constant exponent would make the
-            # fold itself unbounded.
-            return (e.op != "**" and self._const_tree(e.left)
-                    and self._const_tree(e.right))
-        if isinstance(e, A.Ternary):
-            return (self._const_tree(e.cond) and self._const_tree(e.then)
-                    and self._const_tree(e.other))
-        if isinstance(e, A.Concat):
-            return all(self._const_tree(p) for p in e.parts)
-        if isinstance(e, A.Repeat):
-            return self._const_tree(e.value)
-        return False  # Ident / Index / PartSelect / ...
-
-    def _fold(self, e: A.Expr) -> Optional[int]:
-        """Reference-semantics value of a pure-constant subtree, else None."""
-        key = id(e)
-        if key in self._fold_cache:
-            return self._fold_cache[key]
-        val: Optional[int] = None
-        if self._const_tree(e):
-            from repro.baselines.reference import eval_expr
-            try:
-                val = int(eval_expr(e, {}, {}, {}))
-            except Exception:
-                val = None
-        self._fold_cache[key] = val
-        return val
-
     def _has_ident(self, e: A.Expr) -> bool:
         """True when the emitted value is guaranteed to be a batch array."""
         if isinstance(e, (A.Ident, A.Index, A.PartSelect, A.IndexedPartSelect)):
@@ -329,19 +306,11 @@ class FusedExprCodegen(ExprCodegen):
             return self._has_ident(e.value)
         return False
 
-    # -- tier 3: uint64 fallback with folding ---------------------------------
+    # -- tier 3: uint64 fallback with branchless muxes -------------------------
 
-    def _value(self, e: A.Expr):
-        if not isinstance(e, (A.Number, A.Ident)):
-            c = self._fold(e)
-            if c is not None:
-                L = _limbs(e.ctx_width)
-                return self.op("const", (), {"value": c}, L), L
-        if isinstance(e, A.Ternary) and _limbs(e.ctx_width) == 1:
-            cf = self._fold(e.cond)
-            if cf is not None:
-                code, _ = self._value(e.then if cf else e.other)
-                return code, 1
+    def _lower(self, e: A.Expr):
+        if (isinstance(e, A.Ternary) and _limbs(e.ctx_width) == 1
+                and self._fold(e.cond) is None):
             mask = self._cond_mask(e.cond, 64)
             if mask is None:  # wide condition: emit_bool it the base way
                 mask = (f"(u64(0) - (({self.emit_bool(e.cond)}) != 0)"
@@ -360,7 +329,7 @@ class FusedExprCodegen(ExprCodegen):
             t = self.emit(e.then)
             f = self.emit(e.other)
             return f"((({t}) & {m}) | (({f}) & ~{m}))", 1
-        return super()._value(e)
+        return super()._lower(e)
 
     # -- tier 1: lane-packed 1-bit emission -----------------------------------
 
@@ -373,7 +342,7 @@ class FusedExprCodegen(ExprCodegen):
         """
         if _limbs(e.ctx_width) > 1:
             return None
-        c = e.value if isinstance(e, A.Number) else self._fold(e)
+        c = self._fold(e)
         if c is not None:
             # Only canonical 0/1 constants are packable: a wider constant
             # (e.g. 2'd2 drifting into a comparison) must keep its raw
@@ -499,8 +468,6 @@ class FusedExprCodegen(ExprCodegen):
         c = self._fold(e)
         if c is not None:
             return self._native_const(c, e.ctx_width)
-        if isinstance(e, A.Number):
-            return self._native_const(e.value, e.ctx_width)
         if isinstance(e, A.Ident):
             return self._native_load(e.name)
         if isinstance(e, A.Unary):
@@ -556,9 +523,7 @@ class FusedExprCodegen(ExprCodegen):
             if loaded is None or loaded[1] == 8 and self._is_packed(e.base):
                 return None
             code, bits = loaded
-            if lsb:
-                if lsb >= bits:
-                    return self._native_const(0, e.ctx_width)
+            if lsb:  # inside the signal: one outside folded already
                 code = f"(({code}) >> {lsb})"
             slot = self.layout.slot(e.base)
             if slot.width > lsb + e.width:
@@ -571,8 +536,6 @@ class FusedExprCodegen(ExprCodegen):
             slot = self.layout.slots.get(e.base)
             if slot is None or slot.limbs != 1:
                 return None
-            if idx >= slot.width:
-                return self._native_const(0, e.ctx_width)
             if slot.pool == PACKED_POOL:  # 1-bit base, idx == 0
                 return self._native_load(e.base)
             bits = _NATIVE_BITS[slot.pool]
@@ -767,8 +730,8 @@ class FusedExprCodegen(ExprCodegen):
             amt = self._fold(e.right)
             if amt is None:
                 return None  # dynamic shift amounts: uint64 tier (bvb)
-            if amt >= e.ctx_width or (demand is not None and op in ("<<", "<<<")
-                                      and amt >= demand):
+            # (An amount at or past the context width folded already.)
+            if demand is not None and op in ("<<", "<<<") and amt >= demand:
                 return self._native_const(0, e.ctx_width)
             if op in ("<<", "<<<"):
                 # Low ``demand`` result bits come from the operand's low

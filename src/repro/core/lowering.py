@@ -16,13 +16,35 @@ otherwise (``L = ceil(width/64)``); ``op`` is told the result's limb
 count.  Opcodes, with their attrs in brackets: ``const`` [value],
 ``load`` [name, pool, offset, width, packed], ``mem_gather`` [mem,
 pool, base, depth]; the conversions ``wide_extend`` [limbs],
-``to_bool_wide``, ``to_amount_wide``, ``to_narrow_wide``; the selects
-``bit_index``, ``part`` [lsb, mask], ``amount_bias`` [bias],
-``dyn_part`` [mask] and their ``wide_*`` forms (width in place of
-mask when the result is wide); ``mux``, ``shl_or`` / ``wide_shl_or`` [shift];
-``not_bool``, ``bnot`` / ``neg`` [mask], ``wide_bnot`` / ``wide_neg``
-[width], ``reduce`` [op, width, wide]; ``logic`` [op], ``compare``
-[op, wide], and ``shift`` / ``arith`` [op, wide, mask or width].
+``to_bool_wide``, ``to_amount_wide``, ``to_narrow_wide``; the static
+selects ``part`` / ``wide_part_narrow`` [lsb, mask] and
+``wide_part_wide`` [lsb, width]; the dynamic selects ``bit_index``,
+``amount_bias`` [bias], ``dyn_part`` [mask] and their ``wide_*`` forms
+(width in place of mask when the result is wide); ``mux``, ``shl_or``
+/ ``wide_shl_or`` [shift]; ``not_bool``, ``bnot`` / ``neg`` [mask],
+``wide_bnot`` / ``wide_neg`` [width], ``reduce`` [op, width, wide];
+``logic`` [op], ``compare`` [op, wide], ``shift`` / ``arith`` [op,
+wide, mask or width], and ``shift_const`` [op, amount, wide, mask or
+width].
+
+Constant operands are lowered statically, once, here:
+
+* a value known at transpile time becomes one ``const``: a subtree of
+  literals folds through the reference semantics
+  (:func:`~repro.baselines.reference.eval_expr`), and so do a shift by
+  a known amount at or past the context width and a select at a known
+  position outside its signal (both 0) and a mux with a known
+  condition and a known chosen branch (one memoized fold per AST node,
+  :meth:`BatchOpWalk._fold`, which the fused emitter's tiers share); a
+  mux with a known condition otherwise lowers its chosen branch alone;
+* any other known shift amount becomes ``shift_const`` (a
+  mask-and-shift on one limb, static limb moves on a limb matrix);
+* any other known bit index or ``+:``/``-:`` start becomes a static
+  ``part`` / ``wide_part_*`` select.
+
+Only dynamic amounts, indices and starts reach ``shift``,
+``bit_index``, ``amount_bias`` and the ``dyn_part`` family, and a
+folded amount, index or start records no op of its own.
 
 :meth:`BatchOpWalk.lower_stores` lowers a whole RTL node: which
 conversion each stored value takes and which slot it lands in.
@@ -31,8 +53,9 @@ conversion each stored value takes and which slot it lands in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, List, Tuple, TypeVar
+from typing import Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.baselines.reference import eval_expr
 from repro.core.memory import PACKED_POOL, MemoryLayout, VarSlot
 from repro.rtlir.graph import NodeKind, RtlGraph, RtlNode
 from repro.utils import bitvec as bv
@@ -43,6 +66,24 @@ _CMP = {"==": "==", "===": "==", "!=": "!=", "!==": "!=",
         "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ARITH = ("+", "-", "*", "/", "%", "**", "&", "|", "^", "~^", "^~")
 _REDUCE = ("&", "|", "^", "~&", "~|", "~^")
+_SHIFTS = ("<<", "<<<", ">>", ">>>")
+
+
+class _Unread(dict):
+    """Stand-in design state for the fold: a known subtree's value does
+    not depend on it, so every name reads one default."""
+
+    def __init__(self, default):
+        super().__init__()
+        self.default = default
+
+    def __missing__(self, key):
+        return self.default
+
+
+_NO_STATE = _Unread(0)
+_NO_MEMS = _Unread(())
+_UNSEEN = object()
 
 #: A lowered value: numpy source text for the emitter, an SSA value id
 #: for the IR recorder.
@@ -93,11 +134,83 @@ class BatchOpWalk(Generic[V]):
         self.layout = layout
         self.graph = graph
         self.design = graph.design
+        self._folds: Dict[int, Optional[int]] = {}
+        self._widths = {n: sig.width for n, sig in self.design.signals.items()}
 
     def op(self, opcode: str, args: Tuple[V, ...], attrs: Dict[str, object],
            limbs: int) -> V:
         """Produce one batch op over ``args`` (``limbs``: its result)."""
         raise NotImplementedError
+
+    # -- constant folding -----------------------------------------------------
+
+    def _fold(self, e: A.Expr) -> Optional[int]:
+        """The value of ``e`` when it is known at transpile time, else None.
+
+        Known are literals, subtrees made only of known operands
+        (evaluated through the reference semantics), a mux whose known
+        condition picks a known branch, and the reads the lowering
+        decides statically to be 0: a shift by a known amount at or past
+        the context width, and a select at a known position outside its
+        signal.  Memoized per AST node, so asking at every level of a
+        deep tree stays linear.  (``**`` folds too: the reference takes
+        it modulo the context, so a huge exponent costs only its bits.)
+        """
+        key = id(e)
+        val = self._folds.get(key, _UNSEEN)
+        if val is _UNSEEN:
+            val = self._folds[key] = self._fold_node(e)
+        return val
+
+    def _fold_node(self, e: A.Expr) -> Optional[int]:
+        if isinstance(e, A.Ident):
+            return None
+        if isinstance(e, A.Number):
+            return e.value
+        if isinstance(e, (A.Index, A.PartSelect, A.IndexedPartSelect)):
+            if isinstance(e, A.Index) and e.is_memory:
+                return None
+            lsb = self._select_lsb(e)
+            if lsb is None or 0 <= lsb < self.layout.slot(e.base).width:
+                return None
+            return 0
+        if isinstance(e, A.Binary) and e.op in _SHIFTS:
+            k = self._fold(e.right)
+            if k is not None and k >= e.ctx_width:
+                return 0  # flushed, whatever the operand holds
+        if isinstance(e, A.Ternary):
+            c = self._fold(e.cond)
+            return None if c is None else self._fold(e.then if c else e.other)
+        kids = _const_kids(e)
+        if kids is None:
+            return None
+        for k in kids:
+            if self._fold(k) is None:
+                return None
+        # A known subtree's value does not depend on the design state:
+        # every read in it sits under a flush or an out-of-range select.
+        try:
+            return int(eval_expr(e, _NO_STATE, _NO_MEMS, self._widths))
+        except Exception:
+            return None
+
+    def _select_lsb(self, e: A.Expr) -> Optional[int]:
+        """The known bit position a non-memory select starts at, or None
+        when its index or start is dynamic."""
+        if isinstance(e, A.PartSelect):
+            return getattr(e, "_lsb_i")
+        if isinstance(e, A.Index):
+            return self._fold(e.index)
+        k = self._fold(e.start)
+        if k is None:
+            return None
+        return k - self._select_bias(e)
+
+    @staticmethod
+    def _select_bias(e: A.IndexedPartSelect) -> int:
+        """The offset taken off a ``+:``/``-:`` start to get its lsb."""
+        w = getattr(e, "_width_i")
+        return (w - 1 if e.descending else 0) + getattr(e, "_base_lsb_i", 0)
 
     # -- conversions ----------------------------------------------------------
 
@@ -170,9 +283,15 @@ class BatchOpWalk(Generic[V]):
     # -- dispatch (returns (value, repr_limbs)) -------------------------------
 
     def _value(self, e: A.Expr) -> Tuple[V, int]:
-        if isinstance(e, A.Number):
-            L = _limbs(e.ctx_width)
-            return self.op("const", (), {"value": e.value}, L), L
+        if not isinstance(e, A.Ident):
+            c = self._fold(e)
+            if c is not None:
+                L = _limbs(e.ctx_width)
+                return self.op("const", (), {"value": c}, L), L
+        return self._lower(e)
+
+    def _lower(self, e: A.Expr) -> Tuple[V, int]:
+        """Lower a node that did not fold to a constant."""
         if isinstance(e, A.Ident):
             return self._load(e.name)
         if isinstance(e, A.Unary):
@@ -180,6 +299,9 @@ class BatchOpWalk(Generic[V]):
         if isinstance(e, A.Binary):
             return self._binary(e)
         if isinstance(e, A.Ternary):
+            cf = self._fold(e.cond)
+            if cf is not None:  # a known condition picks its branch
+                return self._value(e.then if cf else e.other)
             c = self.emit_bool(e.cond)
             t = self.emit(e.then)
             f = self.emit(e.other)
@@ -191,33 +313,30 @@ class BatchOpWalk(Generic[V]):
             count = getattr(e, "_count_i")
             return self._concat([(e.value, e.value.width)] * count, e.width)
         if isinstance(e, A.Index):
-            idx = self.emit_amount(e.index)
             if e.is_memory:
                 m = self.layout.mem(e.base)
                 return self.op(
-                    "mem_gather", (idx,),
+                    "mem_gather", (self.emit_amount(e.index),),
                     {"mem": e.base, "pool": m.pool, "base": m.base,
                      "depth": m.depth}, 1,
                 ), 1
+            k = self._select_lsb(e)
+            if k is not None:
+                return self._static_part(e.base, k, 1)
+            idx = self.emit_amount(e.index)
             base, base_limbs = self._load(e.base)
             opc = "bit_index" if base_limbs == 1 else "wide_bit_index"
             return self.op(opc, (base, idx), {}, 1), 1
         if isinstance(e, A.PartSelect):
-            lsb = getattr(e, "_lsb_i")
-            base, base_limbs = self._load(e.base)
-            if base_limbs == 1 or e.width <= 64:
-                opc = "part" if base_limbs == 1 else "wide_part_narrow"
-                return self.op(opc, (base,),
-                               {"lsb": lsb, "mask": bv.mask(e.width)}, 1), 1
-            L = _limbs(e.width)
-            return self.op("wide_part_wide", (base,),
-                           {"lsb": lsb, "width": e.width}, L), L
+            return self._static_part(e.base, getattr(e, "_lsb_i"), e.width)
         if isinstance(e, A.IndexedPartSelect):
             w = getattr(e, "_width_i")
-            sig_lsb = getattr(e, "_base_lsb_i", 0)
+            k = self._select_lsb(e)
+            if k is not None:
+                return self._static_part(e.base, k, w)
             start = self.emit_amount(e.start)
-            bias = (w - 1 if e.descending else 0) + sig_lsb
-            pos = self.op("amount_bias", (start,), {"bias": bias}, 1)
+            pos = self.op("amount_bias", (start,),
+                          {"bias": self._select_bias(e)}, 1)
             base, base_limbs = self._load(e.base)
             if base_limbs == 1 or w <= 64:
                 opc = "dyn_part" if base_limbs == 1 else "wide_dyn_narrow"
@@ -235,6 +354,18 @@ class BatchOpWalk(Generic[V]):
             slot.limbs,
         ), slot.limbs
 
+    def _static_part(self, name: str, lsb: int, width: int) -> Tuple[V, int]:
+        """Bits ``[lsb, lsb + width)`` of signal ``name`` at a known
+        ``lsb`` inside it (one outside folded to 0)."""
+        base, base_limbs = self._load(name)
+        if base_limbs == 1 or width <= 64:
+            opc = "part" if base_limbs == 1 else "wide_part_narrow"
+            return self.op(opc, (base,),
+                           {"lsb": lsb, "mask": bv.mask(width)}, 1), 1
+        L = _limbs(width)
+        return self.op("wide_part_wide", (base,),
+                       {"lsb": lsb, "width": width}, L), L
+
     def _concat(self, parts, total_width: int) -> Tuple[V, int]:
         """Concat/replicate ``parts`` (MSB first) into ``total_width`` bits."""
         L = _limbs(total_width)
@@ -247,8 +378,9 @@ class BatchOpWalk(Generic[V]):
         def as_limbs(p: A.Expr) -> V:
             # Constants become limb matrices directly (a scalar u64 has
             # no lane axis for extend to replicate).
-            if isinstance(p, A.Number):
-                return self.op("const", (), {"value": p.value}, L)
+            c = self._fold(p)
+            if c is not None:
+                return self.op("const", (), {"value": c}, L)
             v, _ = self._value(p)
             return self.op("wide_extend", (v,), {"limbs": L}, L)
 
@@ -300,10 +432,14 @@ class BatchOpWalk(Generic[V]):
         # names the width to mask to.
         sized = ({"mask": bv.mask(min(e.ctx_width, 64)), "wide": False}
                  if L == 1 else {"width": e.ctx_width, "wide": True})
-        if op in ("<<", "<<<", ">>", ">>>"):
+        if op in _SHIFTS:
+            attrs = {"op": "<<" if op in ("<<", "<<<") else ">>", **sized}
+            k = self._fold(e.right)
+            if k is not None:  # below the width: past it, e folded to 0
+                return self.op("shift_const", (self.emit(e.left),),
+                               {**attrs, "amount": k}, L), L
             l = self.emit(e.left)
             r = self.emit_amount(e.right)
-            attrs = {"op": "<<" if op in ("<<", "<<<") else ">>", **sized}
             return self.op("shift", (l, r), attrs, L), L
         if op not in _ARITH:
             raise SimulationError(f"unknown binary op {op!r}")
@@ -315,3 +451,16 @@ class BatchOpWalk(Generic[V]):
         l = self.emit(e.left)
         r = self.emit(e.right)
         return self.op("arith", (l, r), {"op": op, **sized}, L), L
+
+
+def _const_kids(e: A.Expr) -> Optional[Sequence[A.Expr]]:
+    """The operands ``e`` folds over, or None when ``e`` never folds."""
+    if isinstance(e, A.Unary):
+        return (e.operand,)
+    if isinstance(e, A.Binary):
+        return (e.left, e.right)
+    if isinstance(e, A.Concat):
+        return e.parts
+    if isinstance(e, A.Repeat):
+        return (e.value,)
+    return None  # Ident / selects / Ternary: folded by their own rules

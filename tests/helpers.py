@@ -6,6 +6,7 @@ here every engine is validated against :class:`ReferenceSimulator`.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -100,3 +101,51 @@ def assert_batch_matches_reference(
                 f"reference={ref[w][c, lane]:#x} batch={got[w][c, lane]:#x}"
             )
     return graph
+
+
+#: Runtime shift/select calls that take a per-lane amount as their
+#: second argument.
+DYNAMIC_SHIFT_CALLS = ("wv.shl(", "wv.shr(", "bvb.b_shl(", "bvb.b_shr(")
+
+
+def literal_shift_amounts(source: str) -> List[str]:
+    """Calls in generated ``source`` that pass a dynamic shift a literal
+    amount (``u64(17)`` or ``17``): constant amounts lower statically."""
+    import re
+
+    found = []
+    for call in DYNAMIC_SHIFT_CALLS:
+        start = source.find(call)
+        while start >= 0:
+            # Split the call's top-level arguments by paren depth.
+            depth, args, cur = 0, [], []
+            for ch in source[start + len(call):]:
+                if ch == "," and depth == 0:
+                    args.append("".join(cur))
+                    cur = []
+                    continue
+                if ch in "([":
+                    depth += 1
+                elif ch in ")]":
+                    if depth == 0:
+                        break
+                    depth -= 1
+                cur.append(ch)
+            args.append("".join(cur))
+            amount = args[1].strip() if len(args) > 1 else ""
+            if re.fullmatch(r"(u64\()?\d+\)?", amount):
+                found.append(f"{call}..., {amount})")
+            start = source.find(call, start + 1)
+    return found
+
+
+def dead_ir_ops(ir) -> List[str]:
+    """Rendered ops of a kernel IR that no later op or store reads."""
+    dead = []
+    for unit in ir.units:
+        for node in unit.nodes:
+            used = {a for op in node.ops for a in op.args}
+            used |= {st.value for st in node.stores}
+            dead += [f"node {node.nid}: {op.render()}" for op in node.ops
+                     if op.vid not in used]
+    return dead

@@ -23,6 +23,9 @@ _UN_OPS = ["~", "-", "!", "&", "|", "^", "~&", "~|", "~^"]
 
 _INPUTS = [("a", 8), ("b", 8), ("c", 16), ("d", 32), ("e", 1), ("f", 100),
            ("g", 140)]
+_SHIFTS = ("<<", ">>", "<<<", ">>>")
+# Literal shift amounts span twice the widest input, past every flush.
+_MAX_AMOUNT = 2 * max(w for _, w in _INPUTS)
 
 
 @st.composite
@@ -45,7 +48,10 @@ def expr_strings(draw, depth=0):
     if kind == 0:
         op = draw(st.sampled_from(_BIN_OPS))
         l = draw(expr_strings(depth + 1))
-        r = draw(expr_strings(depth + 1))
+        if op in _SHIFTS and draw(st.booleans()):
+            r = str(draw(st.integers(0, _MAX_AMOUNT)))  # constant amount
+        else:
+            r = draw(expr_strings(depth + 1))
         return f"({l} {op} {r})"
     if kind == 1:
         op = draw(st.sampled_from(_UN_OPS))
@@ -57,9 +63,13 @@ def expr_strings(draw, depth=0):
         f = draw(expr_strings(depth + 1))
         return f"(({c}) ? ({t}) : ({f}))"
     if kind in (3, 4):
-        # Dynamic bit-select, or a +:/-: part-select at a dynamic start.
+        # Bit-select, or a +:/-: part-select, at a dynamic or a literal
+        # index/start (literals reach past the signal's top bit).
         name, w = draw(st.sampled_from([(n, w) for n, w in _INPUTS if w > 1]))
-        at = draw(expr_strings(depth + 1))
+        if draw(st.booleans()):
+            at = str(draw(st.integers(0, 2 * w)))
+        else:
+            at = draw(expr_strings(depth + 1))
         if kind == 3:
             return f"{name}[{at}]"
         dirn = draw(st.sampled_from(["+:", "-:"]))
